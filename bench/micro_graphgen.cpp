@@ -9,13 +9,16 @@
 // assembly stage in isolation on the same edge multiset in generator
 // emission order. Also reports bytes/vertex before (fixed 8-byte offsets)
 // and after (width-adaptive offsets), and cross-checks that 1-thread and
-// T-thread assemblies produce identical graphs.
+// T-thread assemblies produce identical graphs. random_regular has no
+// serial twin: its rows time the one sampler (min of 5 builds) at
+// n = 2^16 for r in {3, 4, 6, 8} and at both family sizes for r = 8.
+// The output opens with a host block (cores, CPU model, build).
 //
 //   ./micro_graphgen [--scale small|medium|large] [--threads T] [--seed S]
 //                    [--out BENCH_graphgen.json]
 //
-// --scale large runs the ISSUE sizes n=2^20 and n=2^22; small keeps CI
-// under seconds. --threads defaults to max(4, hardware_concurrency).
+// --scale large runs n=2^20 and n=2^22; small keeps CI under seconds.
+// --threads defaults to max(4, hardware_concurrency).
 // Exit status: 1 if any thread-count determinism cross-check fails.
 #include <algorithm>
 #include <cstdio>
@@ -34,6 +37,7 @@
 #include "graph/stream.hpp"
 #include "graph/weights.hpp"
 #include "rand/rng.hpp"
+#include "util/build_info.hpp"
 #include "util/flags.hpp"
 #include "util/scale.hpp"
 #include "util/stopwatch.hpp"
@@ -101,6 +105,63 @@ double timed_ms(const std::function<void()>& fn) {
   Stopwatch watch;
   fn();
   return watch.seconds() * 1e3;
+}
+
+/// random_regular row: the sampler's best of kRegularReps builds of the
+/// same (seed, n, r) sample at T threads, checked against a 1-thread
+/// build of it.
+struct RegularRow {
+  std::size_t n = 0;
+  std::size_t r = 0;
+  std::size_t edges = 0;
+  double gen_ms = 0;           ///< min over kRegularReps builds
+  bool deterministic = false;  ///< 1-thread vs T-thread graphs identical
+};
+
+constexpr int kRegularReps = 5;
+
+RegularRow measure_regular(std::size_t n, std::size_t r, std::uint64_t seed,
+                           std::size_t threads) {
+  RegularRow row;
+  row.n = n;
+  row.r = r;
+  GraphBuilder::set_default_threads(threads);
+  Graph graph;
+  for (int rep = 0; rep < kRegularReps; ++rep) {
+    Rng rng(seed);
+    const double ms = timed_ms([&] { graph = gen::random_regular(n, r, rng); });
+    row.gen_ms = rep == 0 ? ms : std::min(row.gen_ms, ms);
+  }
+  row.edges = graph.num_edges();
+  GraphBuilder::set_default_threads(1);
+  Rng rng(seed);
+  row.deterministic = same_graph(gen::random_regular(n, r, rng), graph);
+  GraphBuilder::set_default_threads(threads);
+  return row;
+}
+
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) {
+        const auto begin = line.find_first_not_of(' ', colon + 1);
+        return begin == std::string::npos ? "" : line.substr(begin);
+      }
+    }
+  }
+  return "unknown";
+}
+
+std::string json_escaped(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  return out;
 }
 
 /// Weighted-substrate row: synthetic weight generation, alias-table
@@ -292,29 +353,6 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const std::size_t n : {n_small, n_large}) {
-    // random_regular(r=8): keyed parallel pairing vs the serial
-    // Fisher-Yates oracle — distributionally equivalent (chi-square
-    // compared in tests/substrate_test.cpp), not bitwise, so only the
-    // wall-clock is compared here.
-    {
-      Row row;
-      row.family = "random_regular";
-      row.n = n;
-      GraphBuilder::set_default_threads(1);
-      Rng serial_rng(seed);
-      row.gen_serial_ms = timed_ms(
-          [&] { gen::random_regular_serial(n, 8, serial_rng); });
-      GraphBuilder::set_default_threads(threads);
-      Rng parallel_rng(seed);
-      Graph parallel_graph;
-      row.gen_parallel_ms = timed_ms(
-          [&] { parallel_graph = gen::random_regular(n, 8, parallel_rng); });
-      row.edges = parallel_graph.num_edges();
-      const auto edges = extract_edges(parallel_graph, seed ^ 0x9e37);
-      parallel_graph = Graph();
-      measure_assembly(row, n, edges, threads);
-      rows.push_back(std::move(row));
-    }
     // erdos_renyi(p = 8/n): restructured sampler (per-chunk streams).
     {
       Row row;
@@ -365,6 +403,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // random_regular: n = 2^16 across r (rejection at r <= 6, switch repair
+  // at r = 8) at every scale, plus r = 8 at the family sizes.
+  std::vector<RegularRow> regular_rows;
+  for (const std::size_t r : {3, 4, 6, 8}) {
+    regular_rows.push_back(measure_regular(1 << 16, r, seed, threads));
+  }
+  for (const std::size_t n : {n_small, n_large}) {
+    regular_rows.push_back(measure_regular(n, 8, seed, threads));
+  }
+
   // Weighted substrate: weight synthesis + alias build + draw costs on
   // the random_regular instances.
   std::vector<WeightedRow> weighted_rows;
@@ -383,6 +431,9 @@ int main(int argc, char** argv) {
 
   bool all_deterministic = true;
   for (const Row& row : rows) all_deterministic &= row.deterministic;
+  for (const RegularRow& row : regular_rows) {
+    all_deterministic &= row.deterministic;
+  }
   for (const StreamRow& row : stream_rows) all_deterministic &= row.identical;
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -391,12 +442,28 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"graphgen\",\n  \"scale\": \"%s\",\n"
+               "{\n  \"bench\": \"graphgen\",\n"
+               "  \"host\": {\"nproc\": %u, \"cpu_model\": \"%s\",\n"
+               "           \"build_info\": \"%s\"},\n"
+               "  \"scale\": \"%s\",\n"
                "  \"threads\": %zu,\n  \"seed\": %llu,\n  \"rows\": [\n",
-               scale.name().c_str(), threads,
-               static_cast<unsigned long long>(seed));
+               std::thread::hardware_concurrency(),
+               json_escaped(cpu_model()).c_str(),
+               json_escaped(build_info_string()).c_str(), scale.name().c_str(),
+               threads, static_cast<unsigned long long>(seed));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     emit_row(f, rows[i], i + 1 == rows.size());
+  }
+  std::fprintf(f, "  ],\n  \"regular_rows\": [\n");
+  for (std::size_t i = 0; i < regular_rows.size(); ++i) {
+    const RegularRow& row = regular_rows[i];
+    std::fprintf(f,
+                 "    {\"family\": \"random_regular\", \"n\": %zu, "
+                 "\"r\": %zu, \"edges\": %zu, \"reps\": %d, "
+                 "\"gen_ms_min\": %.1f, \"deterministic\": %s}%s\n",
+                 row.n, row.r, row.edges, kRegularReps, row.gen_ms,
+                 row.deterministic ? "true" : "false",
+                 i + 1 == regular_rows.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n  \"weighted_rows\": [\n");
   for (std::size_t i = 0; i < weighted_rows.size(); ++i) {
@@ -441,6 +508,12 @@ int main(int argc, char** argv) {
                 row.gen_parallel_ms, row.gen_speedup(), row.asm_serial_ms,
                 row.asm_parallel_ms, row.asm_speedup(),
                 row.bytes_per_vertex_before, row.bytes_per_vertex_after,
+                row.deterministic ? "" : "  DETERMINISM BROKEN");
+  }
+  std::printf("%-16s %10s %4s %12s\n", "random_regular", "n", "r",
+              "gen_min_ms");
+  for (const RegularRow& row : regular_rows) {
+    std::printf("%-16s %10zu %4zu %12.1f%s\n", "", row.n, row.r, row.gen_ms,
                 row.deterministic ? "" : "  DETERMINISM BROKEN");
   }
   std::printf("%-16s %10s %12s %12s %14s %14s\n", "weighted", "n",

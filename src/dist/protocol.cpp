@@ -197,23 +197,22 @@ bool Socket::recv_frame(Frame& frame) {
 Listener::~Listener() { close(); }
 
 Listener::Listener(Listener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      port_(std::exchange(other.port_, 0)) {}
+    : fd_(other.fd_.exchange(-1)), port_(std::exchange(other.port_, 0)) {}
 
 Listener& Listener::operator=(Listener&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = std::exchange(other.fd_, -1);
+    fd_ = other.fd_.exchange(-1);
     port_ = std::exchange(other.port_, 0);
   }
   return *this;
 }
 
 void Listener::close() noexcept {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);  // unblock a thread stuck in accept
-    ::close(fd_);
-    fd_ = -1;
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
+    ::shutdown(fd, SHUT_RDWR);  // unblock a thread stuck in accept
+    ::close(fd);
   }
 }
 
@@ -242,7 +241,9 @@ Listener Listener::bind_local(std::uint16_t port) {
 
 Socket Listener::accept_connection() {
   while (true) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
+    const int listen_fd = fd_.load();
+    if (listen_fd < 0) return Socket();  // closed before or between accepts
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd >= 0) {
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);

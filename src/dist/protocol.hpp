@@ -42,6 +42,7 @@
 // results are dropped by job index at the journal merge.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -177,7 +178,7 @@ class Listener {
   static Listener bind_local(std::uint16_t port);
 
   std::uint16_t port() const noexcept { return port_; }
-  bool valid() const noexcept { return fd_ >= 0; }
+  bool valid() const noexcept { return fd_.load() >= 0; }
 
   /// Blocks for the next connection; returns an invalid Socket once the
   /// listener has been closed (the accept loop's exit signal).
@@ -188,7 +189,10 @@ class Listener {
   void close() noexcept;
 
  private:
-  int fd_ = -1;
+  // Atomic because close() runs on one thread while accept_connection()
+  // blocks on another: close() takes the descriptor with exchange(-1), so
+  // exactly one caller shuts it down and the accept loop sees -1 after.
+  std::atomic<int> fd_{-1};
   std::uint16_t port_ = 0;
 };
 

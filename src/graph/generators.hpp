@@ -143,15 +143,11 @@ Graph kneser(std::size_t n_set, std::size_t k_subset);
 // assembly, kept as parity oracles for the parallel generators (see
 // tests/substrate_test.cpp) and as the baselines bench/micro_graphgen
 // reports speedups against. Determinism contracts:
-//  * random_regular was restructured into a keyed parallel pairing, so
-//    random_regular_serial is the distributional oracle (chi-square
-//    compared in tests), not a bitwise one;
 //  * grid/torus/hypercube are deterministic, so parallel chunking is
 //    bitwise-identical by construction;
 //  * erdos_renyi was restructured into per-chunk RNG streams (the serial
 //    skip sequence cannot be split), so erdos_renyi_serial is the
 //    distributional oracle, not a bitwise one.
-Graph random_regular_serial(std::size_t n, std::size_t r, Rng& rng);
 Graph erdos_renyi_serial(std::size_t n, double p, Rng& rng);
 Graph grid_serial(const std::vector<std::size_t>& dims, bool periodic);
 Graph hypercube_serial(std::size_t d);

@@ -2,13 +2,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -16,8 +11,6 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/stream.hpp"
-#include "rand/sampling.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace cobra::gen {
 
@@ -29,169 +22,61 @@ std::uint64_t edge_key(Vertex u, Vertex v) noexcept {
   return (static_cast<std::uint64_t>(u) << 32) | v;
 }
 
-/// One configuration-model pairing: shuffles n*r stubs and pairs them.
-std::vector<std::pair<Vertex, Vertex>> random_pairing(std::size_t n,
-                                                      std::size_t r,
-                                                      Rng& rng) {
-  std::vector<Vertex> stubs;
-  stubs.reserve(n * r);
-  for (Vertex v = 0; v < n; ++v) {
-    for (std::size_t i = 0; i < r; ++i) stubs.push_back(v);
-  }
-  shuffle(std::span<Vertex>(stubs), rng);
-  std::vector<std::pair<Vertex, Vertex>> edges;
-  edges.reserve(stubs.size() / 2);
-  for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-    edges.emplace_back(stubs[i], stubs[i + 1]);
-  }
-  return edges;
-}
-
-/// Below this many stubs the keyed pairing runs serially — pool spin-up
-/// would dominate the key draws and the bucket sort.
-constexpr std::size_t kParallelStubThreshold = 1 << 15;
-/// Fixed chunk size for the key-drawing passes: chunk c draws from
-/// Rng::for_trial(master, c), so chunk boundaries must not depend on the
-/// thread count or the sample would.
-constexpr std::size_t kStubChunk = 1 << 15;
-
-/// Scoped pool for one pairing, honouring the same global knob as graph
-/// assembly (GraphBuilder::set_default_threads): workers = threads-1, the
-/// calling thread participates, or no pool at all for small problems.
-class GenPool {
+/// Configuration-model pairing of the n*r stubs (stub k belongs to vertex
+/// k / r). The buffers are sized once and reused by every attempt of one
+/// random_regular call.
+class StubPairing {
  public:
-  explicit GenPool(std::size_t work_items) {
-    std::size_t threads = GraphBuilder::default_threads();
-    if (threads == 0) {
-      threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
-    if (threads > 1 && work_items >= kParallelStubThreshold) {
-      pool_.emplace(threads - 1);
+  StubPairing(std::size_t n, std::size_t r)
+      : r_(r), stubs_(n * r), rows_(n * r), fill_(n) {
+    for (std::size_t k = 0; k < stubs_.size(); ++k) {
+      stubs_[k] = static_cast<Vertex>(k / r);
     }
   }
 
-  void run(std::size_t chunks, const std::function<void(std::size_t)>& fn) {
-    if (!pool_.has_value()) {
-      for (std::size_t c = 0; c < chunks; ++c) fn(c);
-      return;
-    }
-    std::mutex mutex;
-    std::exception_ptr error;
-    pool_->parallel_for(chunks, [&](std::size_t c) {
-      try {
-        fn(c);
-      } catch (...) {
-        std::lock_guard lock(mutex);
-        if (!error) error = std::current_exception();
+  /// Draws a uniformly random perfect matching of the stubs into `edges`
+  /// by a partial Fisher-Yates shuffle: the stub at position i pairs with
+  /// a uniform stub from positions (i, S). With reject_defects the draw
+  /// stops at the first loop or repeated edge and returns false; a repeat
+  /// shows as the partner already sitting in the endpoint's row of the
+  /// flat n*r neighbour array. Stopping early decides the same accept /
+  /// reject outcome a full pairing would, so an accepted matching is
+  /// still uniform over the simple ones. Without reject_defects the
+  /// matching is completed as drawn (loops and multi-edges included) for
+  /// switch repair; it then returns true. A draw starts from the stub
+  /// order the previous one left behind: that order is fixed before the
+  /// draw's own random choices, so the matching is uniform all the same.
+  bool draw(Rng& rng, bool reject_defects,
+            std::vector<std::pair<Vertex, Vertex>>& edges) {
+    const std::size_t total = stubs_.size();
+    if (reject_defects) std::fill(fill_.begin(), fill_.end(), 0);
+    edges.clear();
+    edges.reserve(total / 2);
+    for (std::size_t i = 0; i < total; i += 2) {
+      const std::size_t j = i + 1 + rng.next_below(total - i - 1);
+      std::swap(stubs_[i + 1], stubs_[j]);
+      const Vertex u = stubs_[i];
+      const Vertex v = stubs_[i + 1];
+      if (reject_defects) {
+        if (u == v) return false;
+        Vertex* row_u = rows_.data() + static_cast<std::size_t>(u) * r_;
+        Vertex* const row_u_end = row_u + fill_[u];
+        if (std::find(row_u, row_u_end, v) != row_u_end) return false;
+        *row_u_end = v;
+        ++fill_[u];
+        rows_[static_cast<std::size_t>(v) * r_ + fill_[v]++] = u;
       }
-    });
-    if (error) std::rethrow_exception(error);
+      edges.emplace_back(u, v);
+    }
+    return true;
   }
 
  private:
-  std::optional<ThreadPool> pool_;
+  std::size_t r_;
+  std::vector<Vertex> stubs_;       ///< stub -> vertex, shuffled in place
+  std::vector<Vertex> rows_;        ///< row v: v's partners placed so far
+  std::vector<std::uint32_t> fill_; ///< occupied length of each row
 };
-
-/// Parallel configuration-model pairing: every stub draws an independent
-/// uniform 64-bit key from its chunk's stream (Rng::for_trial(master, c)),
-/// stubs are sorted by (key, stub index) with a 256-bucket parallel radix
-/// pass, and consecutive sorted stubs pair up. Sorting i.i.d. uniform keys
-/// induces a uniformly random permutation of the stubs (ties — probability
-/// ~S^2/2^65 — fall back to index order, a bias far below detectability),
-/// so the pairing has exactly the distribution of random_pairing's
-/// Fisher-Yates shuffle while every pass over the S = n*r stubs runs in
-/// parallel. The result is a pure function of (master, n, r) — chunk
-/// boundaries, bucket order, and tie-breaks are all thread-count
-/// independent.
-std::vector<std::pair<Vertex, Vertex>> keyed_pairing(std::size_t n,
-                                                     std::size_t r,
-                                                     std::uint64_t master) {
-  struct KeyedStub {
-    std::uint64_t key;
-    std::uint32_t index;
-  };
-  constexpr std::size_t kBuckets = 256;
-  const std::size_t total = n * r;
-  const std::size_t chunks = (total + kStubChunk - 1) / kStubChunk;
-  GenPool pool(total);
-
-  // Pass 1: draw keys, histogram the top byte per (chunk, bucket).
-  std::vector<std::uint64_t> keys(total);
-  std::vector<std::size_t> counts(chunks * kBuckets, 0);
-  pool.run(chunks, [&](std::size_t c) {
-    Rng chunk_rng = Rng::for_trial(master, c);
-    const std::size_t begin = c * kStubChunk;
-    const std::size_t end = std::min(begin + kStubChunk, total);
-    std::size_t* count = counts.data() + c * kBuckets;
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t key = chunk_rng();
-      keys[i] = key;
-      ++count[key >> 56];
-    }
-  });
-
-  // Serial prefix over (bucket-major, chunk-minor) fixes every stub's
-  // scatter segment; bucket b occupies [bucket_begin[b], bucket_begin[b+1]).
-  std::vector<std::size_t> starts(chunks * kBuckets);
-  std::vector<std::size_t> bucket_begin(kBuckets + 1);
-  std::size_t acc = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    bucket_begin[b] = acc;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      starts[c * kBuckets + b] = acc;
-      acc += counts[c * kBuckets + b];
-    }
-  }
-  bucket_begin[kBuckets] = acc;
-
-  // Pass 2: scatter — each chunk owns its (chunk, bucket) segments, so the
-  // writes race-freely land at positions independent of scheduling.
-  std::vector<KeyedStub> sorted(total);
-  pool.run(chunks, [&](std::size_t c) {
-    std::size_t position[kBuckets];
-    std::copy_n(starts.data() + c * kBuckets, kBuckets, position);
-    const std::size_t begin = c * kStubChunk;
-    const std::size_t end = std::min(begin + kStubChunk, total);
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t key = keys[i];
-      sorted[position[key >> 56]++] = {key,
-                                       static_cast<std::uint32_t>(i)};
-    }
-  });
-
-  // Pass 3: per-bucket comparison sort finishes the global (key, index)
-  // order, one independent range per bucket.
-  pool.run(kBuckets, [&](std::size_t b) {
-    std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(bucket_begin[b]),
-              sorted.begin() + static_cast<std::ptrdiff_t>(bucket_begin[b + 1]),
-              [](const KeyedStub& x, const KeyedStub& y) {
-                return x.key != y.key ? x.key < y.key : x.index < y.index;
-              });
-  });
-
-  // Pass 4: consecutive sorted stubs pair; stub index / r is its vertex.
-  std::vector<std::pair<Vertex, Vertex>> edges(total / 2);
-  const std::size_t edge_chunks = (edges.size() + kStubChunk - 1) / kStubChunk;
-  pool.run(edge_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kStubChunk;
-    const std::size_t end = std::min(begin + kStubChunk, edges.size());
-    for (std::size_t e = begin; e < end; ++e) {
-      edges[e] = {static_cast<Vertex>(sorted[2 * e].index / r),
-                  static_cast<Vertex>(sorted[2 * e + 1].index / r)};
-    }
-  });
-  return edges;
-}
-
-bool pairing_is_simple(const std::vector<std::pair<Vertex, Vertex>>& edges) {
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(edges.size() * 2);
-  for (const auto& [u, v] : edges) {
-    if (u == v) return false;
-    if (!seen.insert(edge_key(u, v)).second) return false;
-  }
-  return true;
-}
 
 /// Degree-preserving switch repair: replaces loops/duplicate edges by
 /// swapping endpoints with randomly chosen good edges. Returns false if the
@@ -265,54 +150,21 @@ Graph random_regular(std::size_t n, std::size_t r, Rng& rng) {
   // For small r the probability that a pairing is already simple is a
   // constant (about exp(-(r*r-1)/4)), so rejection sampling gives the
   // exactly-uniform distribution cheaply. For larger r we fall back to
-  // switch repair after a few failed rejections.
-  //
-  // Each attempt derives a fresh master from the caller's stream and runs
-  // the keyed parallel pairing (per-chunk streams, bucket sort) — a
-  // restructured sampler, so the sequence differs from
-  // random_regular_serial's single-stream Fisher-Yates shuffle while the
-  // pairing distribution is identical; the serial variant is the
-  // distributional oracle (chi-square compared in tests/substrate_test.cpp).
-  // Like erdos_renyi, the sample is a pure function of (seed, n, r),
+  // switch repair after a few failed rejections. The sampler is one
+  // sequential stream, so the sample is a pure function of (seed, n, r),
   // independent of thread count.
+  StubPairing pairing(n, r);
+  std::vector<std::pair<Vertex, Vertex>> edges;
   const int rejection_budget = (r <= 6) ? 256 : 4;
   for (int attempt = 0; attempt < rejection_budget; ++attempt) {
-    auto edges = keyed_pairing(n, r, rng());
-    if (!pairing_is_simple(edges)) continue;
-    return build_simple_edges(n, std::move(edges), name);
+    if (pairing.draw(rng, /*reject_defects=*/true, edges)) {
+      return build_simple_edges(n, std::move(edges), name);
+    }
   }
   for (int attempt = 0; attempt < 64; ++attempt) {
-    auto edges = keyed_pairing(n, r, rng());
+    pairing.draw(rng, /*reject_defects=*/false, edges);
     if (!repair_pairing(edges, rng)) continue;
     return build_simple_edges(n, std::move(edges), name);
-  }
-  throw std::runtime_error("random_regular: switch repair failed to converge");
-}
-
-Graph random_regular_serial(std::size_t n, std::size_t r, Rng& rng) {
-  if (r >= n) throw std::invalid_argument("random_regular requires r < n");
-  if ((n * r) % 2 != 0) {
-    throw std::invalid_argument("random_regular requires n*r even");
-  }
-  const std::string name = "random_regular(n=" + std::to_string(n) +
-                           ",r=" + std::to_string(r) + ")";
-  if (r == 0) return GraphBuilder(n).build_serial(name);
-  if (r == n - 1) return complete(n);
-
-  const int rejection_budget = (r <= 6) ? 256 : 4;
-  for (int attempt = 0; attempt < rejection_budget; ++attempt) {
-    auto edges = random_pairing(n, r, rng);
-    if (!pairing_is_simple(edges)) continue;
-    GraphBuilder builder(n);
-    for (const auto& [u, v] : edges) builder.add_edge(u, v);
-    return builder.build_serial(name);
-  }
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    auto edges = random_pairing(n, r, rng);
-    if (!repair_pairing(edges, rng)) continue;
-    GraphBuilder builder(n);
-    for (const auto& [u, v] : edges) builder.add_edge(u, v);
-    return builder.build_serial(name);
   }
   throw std::runtime_error("random_regular: switch repair failed to converge");
 }

@@ -8,6 +8,7 @@
 // same spec, including when a worker deserts mid-campaign.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -148,6 +149,29 @@ TEST(DistWire, LoopbackFramesAndCleanEof) {
   EXPECT_EQ(frame.payload, "hi worker");
   EXPECT_FALSE(client.recv_frame(frame));  // peer closed at a boundary
   peer.join();
+}
+
+TEST(DistWire, CloseUnblocksAThreadBlockedInAccept) {
+  // The coordinator's teardown closes the listener while its accept thread
+  // is blocked in accept_connection(): the accept must return an invalid
+  // Socket, and the descriptor handoff must be race-free (TSan checks it).
+  // One connection is accepted first so the thread re-enters accept, as
+  // the coordinator's loop does.
+  Listener listener = Listener::bind_local(0);
+  ASSERT_TRUE(listener.valid());
+  std::atomic<int> accepted{0};
+  std::thread acceptor([&] {
+    while (listener.accept_connection().valid()) ++accepted;
+  });
+  Socket client = Socket::connect_to("127.0.0.1", listener.port());
+  while (accepted.load() == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // now blocked
+  listener.close();
+  acceptor.join();
+  EXPECT_EQ(accepted.load(), 1);
+  EXPECT_FALSE(listener.valid());
+  listener.close();  // idempotent
+  EXPECT_FALSE(listener.accept_connection().valid());  // no block once closed
 }
 
 // ---- lease table ----
