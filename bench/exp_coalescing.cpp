@@ -37,16 +37,16 @@ int main(int argc, char** argv) {
     std::vector<double> brw_rounds;
     std::vector<double> brw_msgs;
     bool any_saturated = false;
+    BranchingWalkOptions options;
+    options.max_rounds = 128;
+    BranchingWalkProcess brw(g, options);
     for (std::size_t i = 0; i < trials.trials; ++i) {
-      Rng rng = Rng::for_trial(env.seed, i);
-      BranchingWalkOptions options;
-      options.max_rounds = 128;
-      const auto result = run_branching_walk(
-          g, static_cast<Vertex>(i % n), options, rng);
-      if (!result.covered) continue;
+      const SpreadResult result = brw.run(Rng::for_trial(env.seed, i),
+                                          static_cast<Vertex>(i % n));
+      if (!result.completed) continue;
       brw_rounds.push_back(static_cast<double>(result.rounds));
-      brw_msgs.push_back(static_cast<double>(result.total_messages));
-      any_saturated |= result.saturated;
+      brw_msgs.push_back(static_cast<double>(result.total_transmissions));
+      any_saturated |= brw.saturated();
     }
     const auto brw_round_summary = summarize(brw_rounds);
     const auto brw_msg_summary = summarize(brw_msgs);

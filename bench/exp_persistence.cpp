@@ -37,13 +37,13 @@ int main(int argc, char** argv) {
     std::size_t timeout = 0;
     SisOptions sis_options;
     sis_options.max_rounds = 4096;
+    SisProcess sis(g, sis_options);
     for (std::size_t i = 0; i < runs; ++i) {
-      Rng rng = Rng::for_trial(env.seed + 1, i);
-      const auto result =
-          run_sis(g, static_cast<Vertex>(i % g.num_vertices()), sis_options, rng);
-      extinct += (result.outcome == SisOutcome::kExtinct);
-      full += (result.outcome == SisOutcome::kFullInfection);
-      timeout += (result.outcome == SisOutcome::kTimedOut);
+      sis.run(Rng::for_trial(env.seed + 1, i),
+              static_cast<Vertex>(i % g.num_vertices()));
+      extinct += (sis.outcome() == SisOutcome::kExtinct);
+      full += (sis.outcome() == SisOutcome::kFullInfection);
+      timeout += (sis.outcome() == SisOutcome::kTimedOut);
     }
 
     std::size_t bips_full = 0;

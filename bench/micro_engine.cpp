@@ -367,13 +367,6 @@ int main(int argc, char** argv) {
     const auto make_cobra = [&]() -> std::unique_ptr<Process> {
       return std::make_unique<CobraProcess>(g, 0, batched_cobra_options);
     };
-    BipsOptions batched_bips_options;
-    batched_bips_options.branching.k = 2;
-    batched_bips_options.record_curve = false;
-    batched_bips_options.max_rounds = kMaxRounds;
-    const auto make_bips = [&]() -> std::unique_ptr<Process> {
-      return std::make_unique<BipsProcess>(g, 0, batched_bips_options);
-    };
     PushPullOptions batched_pp_options;
     batched_pp_options.record_curve = false;
     batched_pp_options.max_rounds = kMaxRounds;
@@ -407,7 +400,6 @@ int main(int argc, char** argv) {
           return leg;
         };
     const BatchedLeg cobra_batched = run_batched("COBRA (k=2)", make_cobra);
-    const BatchedLeg bips_batched = run_batched("BIPS (k=2)", make_bips);
     const BatchedLeg pp_batched = run_batched("push-pull", make_pp);
 
     std::fprintf(out, "    {\"family\": \"%s\", \"graph\": \"%s\", ",
@@ -449,8 +441,6 @@ int main(int argc, char** argv) {
                    visits_speedup(legs[2], scalar_ref));
     };
     emit_batched("cobra_batched", cobra_batched.scalar, cobra_batched.legs);
-    std::fprintf(out, ",\n");
-    emit_batched("bips_batched", bips_batched.scalar, bips_batched.legs);
     std::fprintf(out, ",\n");
     emit_batched("push_pull_batched", pp_batched.scalar, pp_batched.legs);
     std::fprintf(out, "}%s\n", idx + 1 < instances.size() ? "," : "");

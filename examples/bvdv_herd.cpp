@@ -64,11 +64,11 @@ int main(int argc, char** argv) {
   const std::size_t outbreak_trials = 50;
   SisOptions sis_options;
   sis_options.max_rounds = days;
+  SisProcess sis(g, sis_options);
   for (std::size_t i = 0; i < outbreak_trials; ++i) {
-    Rng sis_rng = Rng::for_trial(99, i);
-    const auto sis = run_sis(g, 0, sis_options, sis_rng);
-    extinct += (sis.outcome == SisOutcome::kExtinct);
-    endemic += (sis.outcome != SisOutcome::kExtinct);
+    sis.run(Rng::for_trial(99, i), 0);
+    extinct += (sis.outcome() == SisOutcome::kExtinct);
+    endemic += (sis.outcome() != SisOutcome::kExtinct);
   }
   std::printf("outbreaks that died out : %zu / %zu\n", extinct, outbreak_trials);
   std::printf("outbreaks still endemic : %zu / %zu\n", endemic, outbreak_trials);

@@ -13,9 +13,6 @@
 
 #include "core/cobra.hpp"
 #include "graph/generators.hpp"
-#include "protocols/flood.hpp"
-#include "protocols/push.hpp"
-#include "protocols/push_pull.hpp"
 #include "sim/sweep.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -52,21 +49,9 @@ int main(int argc, char** argv) {
   cobra3.branching = Branching::fixed(3);
   add("COBRA k=3", measure_cobra(g, cobra3, trials), 3);
 
-  add("push",
-      measure_spread(g, trials,
-                     [&g](Vertex start, Rng& rng) {
-                       return run_push(g, start, {}, rng);
-                     }),
-      1);
-  add("push-pull",
-      measure_spread(g, trials,
-                     [&g](Vertex start, Rng& rng) {
-                       return run_push_pull(g, start, {}, rng);
-                     }),
-      1);
-  add("flood",
-      measure_spread(g, trials,
-                     [&g](Vertex start, Rng&) { return run_flood(g, start, {}); }),
+  add("push", measure_process(g, "push", {}, trials), 1);
+  add("push-pull", measure_process(g, "push-pull", {}, trials), 1);
+  add("flood", measure_process(g, "flood", {}, trials),
       static_cast<std::uint64_t>(degree));
 
   table.print(std::cout);

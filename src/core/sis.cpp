@@ -132,60 +132,4 @@ void SisProcess::step_faulty(Rng& rng) {
   ++round_;
 }
 
-SisResult run_sis(const Graph& g, Vertex seed, SisOptions options, Rng& rng) {
-  const std::size_t n = g.num_vertices();
-  if (n == 0) throw std::invalid_argument("run_sis requires a non-empty graph");
-  if (seed >= n) throw std::invalid_argument("SIS seed out of range");
-  if (g.min_degree() == 0) {
-    throw std::invalid_argument("run_sis requires min degree >= 1");
-  }
-  const Branching& branching = options.branching;
-  if (!branching.is_fractional() && branching.k == 0) {
-    throw std::invalid_argument("run_sis requires branching k >= 1");
-  }
-
-  std::vector<char> infected(n, 0);
-  std::vector<char> next(n, 0);
-  infected[seed] = 1;
-  SisResult result;
-  std::size_t count = 1;
-  result.curve.reserve(std::min<std::size_t>(options.max_rounds + 1, 1u << 16));
-  result.curve.push_back(count);
-  std::size_t round = 0;
-  while (round < options.max_rounds && count != 0 && count != n) {
-    std::size_t next_count = 0;
-    for (Vertex u = 0; u < n; ++u) {
-      const auto degree = g.degree(u);
-      const unsigned draws = branching.is_fractional()
-                                 ? 1u + (rng.bernoulli(branching.rho) ? 1u : 0u)
-                                 : branching.k;
-      char hit = 0;
-      for (unsigned i = 0; i < draws; ++i) {
-        const Vertex w =
-            g.neighbor(u, rng.next_below32(static_cast<std::uint32_t>(degree)));
-        if (infected[w]) {
-          hit = 1;
-          break;
-        }
-      }
-      next[u] = hit;
-      next_count += hit;
-    }
-    infected.swap(next);
-    count = next_count;
-    ++round;
-    result.curve.push_back(count);
-  }
-  result.rounds = round;
-  result.final_count = count;
-  if (count == 0) {
-    result.outcome = SisOutcome::kExtinct;
-  } else if (count == n) {
-    result.outcome = SisOutcome::kFullInfection;
-  } else {
-    result.outcome = SisOutcome::kTimedOut;
-  }
-  return result;
-}
-
 }  // namespace cobra

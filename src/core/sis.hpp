@@ -24,8 +24,7 @@ struct SisOptions {
   bool record_curve = true;
   /// Weighted neighbour probes via the graph's alias tables (requires a
   /// weighted graph); weighted = false leaves the uniform RNG stream
-  /// untouched. Applies to SisProcess only — the legacy run_sis oracle
-  /// stays uniform.
+  /// untouched.
   bool weighted = false;
 };
 
@@ -35,20 +34,14 @@ enum class SisOutcome : std::uint8_t {
   kTimedOut,       ///< still live at max_rounds
 };
 
-struct SisResult {
-  SisOutcome outcome = SisOutcome::kTimedOut;
-  std::size_t rounds = 0;
-  std::size_t final_count = 0;
-  std::vector<std::size_t> curve;  ///< |A_t| per round (starts at |A_0|)
-};
-
 /// Steppable SIS with a reusable workspace (two n-byte bitmaps, refilled
 /// on reset). Requires min degree >= 1 — every vertex samples neighbours
-/// each round. Multi-seed A_0 is supported; the RNG stream for a single
-/// seed matches the legacy run_sis draw-for-draw. Unlike the legacy
-/// SisResult, the unified result also counts the neighbour probes the
-/// dynamics consumed (total_transmissions); SpreadResult::completed means
-/// full infection — extinction and timeout both read as failures.
+/// each round. Multi-seed A_0 is supported. The result counts the
+/// neighbour probes the dynamics consumed (total_transmissions);
+/// SpreadResult::completed means full infection — extinction and timeout
+/// both read as failures, and outcome() tells them apart. The curve is
+/// |A_t| per round, starting at |A_0|. Results for fixed seeds are pinned
+/// by the golden table in tests/process_test.cpp.
 class SisProcess final : public Process {
  public:
   explicit SisProcess(const Graph& g, SisOptions options = {});
@@ -104,10 +97,5 @@ class SisProcess final : public Process {
   std::uint64_t probes_ = 0;
   std::uint64_t peak_ = 0;
 };
-
-/// Runs the source-free SIS process from A_0 = {seed} until extinction,
-/// full infection, or max_rounds. Legacy one-shot entry point — the
-/// parity oracle for SisProcess.
-SisResult run_sis(const Graph& g, Vertex seed, SisOptions options, Rng& rng);
 
 }  // namespace cobra

@@ -211,73 +211,4 @@ void BranchingWalkProcess::step_faulty(Rng& rng) {
   ++round_;
 }
 
-BranchingWalkResult run_branching_walk(const Graph& g, Vertex start,
-                                       BranchingWalkOptions options,
-                                       Rng& rng) {
-  const std::size_t n = g.num_vertices();
-  if (n == 0) {
-    throw std::invalid_argument("branching walk requires a non-empty graph");
-  }
-  if (start >= n) throw std::invalid_argument("branching walk start range");
-  if (g.degree(start) == 0) {
-    throw std::invalid_argument("branching walk start must have degree >= 1");
-  }
-  if (options.k == 0) throw std::invalid_argument("branching walk needs k>=1");
-
-  std::vector<std::uint64_t> counts(n, 0);
-  std::vector<std::uint64_t> next(n, 0);
-  std::vector<char> visited(n, 0);
-  counts[start] = 1;
-  visited[start] = 1;
-  std::size_t visited_count = 1;
-
-  BranchingWalkResult result;
-  result.population_curve.push_back(1);
-  std::size_t round = 0;
-  while (visited_count < n && round < options.max_rounds) {
-    std::fill(next.begin(), next.end(), 0);
-    std::uint64_t moves = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      const std::uint64_t particles = counts[v];
-      if (particles == 0) continue;
-      const std::size_t degree = g.degree(v);
-      if (particles < static_cast<std::uint64_t>(degree) * 64) {
-        for (std::uint64_t p = 0; p < particles; ++p) {
-          for (unsigned i = 0; i < options.k; ++i) {
-            const Vertex w = g.neighbor(
-                v, rng.next_below32(static_cast<std::uint32_t>(degree)));
-            next[w] = std::min(options.vertex_cap, next[w] + 1);
-            ++moves;
-          }
-        }
-      } else {
-        const std::uint64_t out = particles * options.k;
-        const std::uint64_t share = out / degree;
-        for (const Vertex w : g.neighbors(v)) {
-          next[w] = std::min(options.vertex_cap, next[w] + share);
-        }
-        moves += out;
-        result.saturated = true;
-      }
-    }
-    std::uint64_t population = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      counts[v] = next[v];
-      if (counts[v] > 0 && !visited[v]) {
-        visited[v] = 1;
-        ++visited_count;
-      }
-      population += counts[v];
-      result.saturated |= (counts[v] >= options.vertex_cap);
-    }
-    result.total_messages += moves;
-    result.population_curve.push_back(population);
-    ++round;
-  }
-  result.covered = (visited_count == n);
-  result.rounds = round;
-  result.final_visited = visited_count;
-  return result;
-}
-
 }  // namespace cobra

@@ -36,17 +36,17 @@ struct BranchingWalkOptions {
   /// >= 64 * degree every neighbour's expected share is large whatever
   /// the weights — the occupied-set dynamics, which are what the
   /// ablation measures, are unaffected). false keeps the uniform draw
-  /// and its RNG stream. Applies to BranchingWalkProcess only — the
-  /// legacy run_branching_walk oracle stays uniform.
+  /// and its RNG stream.
   bool weighted = false;
 };
 
 /// Steppable branching walk with a reusable workspace (particle-count,
-/// next-count, and visited arrays sized once, refilled on reset). The RNG
-/// stream matches the legacy run_branching_walk draw-for-draw, including
-/// the large-population multinomial-approximate split. The curve follows
+/// next-count, and visited arrays sized once, refilled on reset). Large
+/// populations take a multinomial-approximate split. The curve follows
 /// the uniform semantics (distinct visited per round); the particle
-/// population and saturation flag stay available via accessors.
+/// population and saturation flag stay available via accessors. Results
+/// for fixed seeds are pinned by the golden table in
+/// tests/process_test.cpp.
 class BranchingWalkProcess final : public Process {
  public:
   explicit BranchingWalkProcess(const Graph& g,
@@ -107,24 +107,5 @@ class BranchingWalkProcess final : public Process {
   std::size_t round_ = 0;
   bool saturated_ = false;
 };
-
-struct BranchingWalkResult {
-  bool covered = false;
-  std::size_t rounds = 0;
-  std::size_t final_visited = 0;
-  /// Total particle moves (== messages); saturates at the cap regime and
-  /// is then a lower bound on the true count.
-  std::uint64_t total_messages = 0;
-  /// Particle population per round (capped).
-  std::vector<std::uint64_t> population_curve;
-  /// True if any vertex hit the cap (message totals are lower bounds).
-  bool saturated = false;
-};
-
-/// Runs from a single particle at `start` until cover or max_rounds.
-/// Legacy one-shot entry point — the parity oracle for
-/// BranchingWalkProcess.
-BranchingWalkResult run_branching_walk(const Graph& g, Vertex start,
-                                       BranchingWalkOptions options, Rng& rng);
 
 }  // namespace cobra

@@ -18,7 +18,7 @@ FloodProcess::FloodProcess(const Graph& g, FloodOptions options)
 
 std::uint64_t FloodProcess::peak_vertex_round_transmissions() const {
   // Under faults a down hub genuinely sends nothing, so report the actual
-  // peak; the faults-off accounting keeps the legacy max-degree floor.
+  // peak; the faults-off accounting keeps the max-degree floor.
   if (fault_session() != nullptr) return peak_;
   return std::max<std::uint64_t>(peak_, graph_->max_degree());
 }
@@ -93,50 +93,6 @@ void FloodProcess::step_faulty(Rng&) {
   }
   transmissions_ += sends;
   ++round_;
-}
-
-SpreadResult run_flood(const Graph& g, Vertex start, FloodOptions options) {
-  const std::size_t n = g.num_vertices();
-  if (n == 0) throw std::invalid_argument("run_flood requires a non-empty graph");
-  if (start >= n) throw std::invalid_argument("flood start out of range");
-
-  std::vector<char> informed(n, 0);
-  std::vector<Vertex> frontier{start};
-  std::vector<Vertex> next_frontier;
-  informed[start] = 1;
-  std::size_t count = 1;
-
-  SpreadResult result;
-  result.curve.push_back(count);
-  std::size_t round = 0;
-  std::uint64_t informed_degree_sum = g.degree(start);
-  while (count < n && !frontier.empty() && round < options.max_rounds) {
-    result.total_transmissions += informed_degree_sum;
-    next_frontier.clear();
-    for (const Vertex v : frontier) {
-      result.peak_vertex_round_transmissions = std::max(
-          result.peak_vertex_round_transmissions,
-          static_cast<std::uint64_t>(g.degree(v)));
-      for (const Vertex w : g.neighbors(v)) {
-        if (!informed[w]) {
-          informed[w] = 1;
-          next_frontier.push_back(w);
-          informed_degree_sum += g.degree(w);
-          ++count;
-        }
-      }
-    }
-    frontier.swap(next_frontier);
-    ++round;
-    result.curve.push_back(count);
-  }
-  result.completed = count == n;
-  result.rounds = round;
-  result.final_count = count;
-  result.peak_vertex_round_transmissions =
-      std::max<std::uint64_t>(result.peak_vertex_round_transmissions,
-                              g.max_degree());
-  return result;
 }
 
 }  // namespace cobra

@@ -21,6 +21,7 @@ struct FloodOptions {
 /// Steppable flood with a reusable workspace (see PushProcess).
 /// Deterministic: the RNG captured at reset() is never consumed, and a
 /// dead frontier (disconnected remainder) makes done() true early.
+/// Results are pinned by the golden table in tests/process_test.cpp.
 class FloodProcess final : public Process {
  public:
   explicit FloodProcess(const Graph& g, FloodOptions options = {});
@@ -35,8 +36,8 @@ class FloodProcess final : public Process {
   std::size_t active_count() const override { return frontier_.size(); }
   bool completed() const override { return count_ == graph_->num_vertices(); }
   std::uint64_t total_transmissions() const override { return transmissions_; }
-  /// Mirrors the legacy accounting: at least the graph's max degree (an
-  /// informed hub transmits its whole neighbourhood every round).
+  /// At least the graph's max degree (an informed hub transmits its
+  /// whole neighbourhood every round).
   std::uint64_t peak_vertex_round_transmissions() const override;
   std::size_t round_limit() const override { return options_.max_rounds; }
 
@@ -70,9 +71,5 @@ class FloodProcess final : public Process {
   std::uint64_t transmissions_ = 0;
   std::uint64_t peak_ = 0;
 };
-
-/// Legacy one-shot entry point — the parity oracle for FloodProcess.
-/// Deterministic; no RNG needed.
-SpreadResult run_flood(const Graph& g, Vertex start, FloodOptions options);
 
 }  // namespace cobra

@@ -109,49 +109,4 @@ void PullProcess::step_faulty(Rng& rng) {
   ++round_;
 }
 
-SpreadResult run_pull(const Graph& g, Vertex start, PullOptions options,
-                      Rng& rng) {
-  const std::size_t n = g.num_vertices();
-  if (n == 0) throw std::invalid_argument("run_pull requires a non-empty graph");
-  if (start >= n) throw std::invalid_argument("pull start out of range");
-  if (g.degree(start) == 0) {
-    throw std::invalid_argument("run_pull start must have degree >= 1");
-  }
-
-  std::vector<char> informed(n, 0);
-  informed[start] = 1;
-  std::size_t count = 1;
-
-  SpreadResult result;
-  result.curve.push_back(count);
-  std::size_t round = 0;
-  while (count < n && round < options.max_rounds) {
-    std::size_t contacts = 0;
-    std::size_t new_informed = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      if (informed[v]) continue;
-      const auto degree = static_cast<std::uint32_t>(g.degree(v));
-      if (degree == 0) continue;
-      ++contacts;
-      const Vertex w = g.neighbor(v, rng.next_below32(degree));
-      if (informed[w] == 1) {
-        informed[v] = 2;
-        ++new_informed;
-      }
-    }
-    for (Vertex v = 0; v < n; ++v) {
-      if (informed[v] == 2) informed[v] = 1;
-    }
-    count += new_informed;
-    result.total_transmissions += contacts;
-    result.peak_vertex_round_transmissions = 1;
-    ++round;
-    result.curve.push_back(count);
-  }
-  result.completed = count == n;
-  result.rounds = round;
-  result.final_count = count;
-  return result;
-}
-
 }  // namespace cobra

@@ -23,9 +23,9 @@ struct PullOptions {
   bool weighted = false;
 };
 
-/// Steppable pull with a reusable workspace (see PushProcess). The RNG
-/// stream is draw-for-draw identical to the legacy run_pull (uninformed
-/// vertices contact in ascending order).
+/// Steppable pull with a reusable workspace (see PushProcess). Uninformed
+/// vertices contact in ascending order; results for fixed seeds are
+/// pinned by the golden table in tests/process_test.cpp.
 class PullProcess final : public Process {
  public:
   explicit PullProcess(const Graph& g, PullOptions options = {});
@@ -72,9 +72,5 @@ class PullProcess final : public Process {
   std::uint64_t transmissions_ = 0;
   std::uint64_t peak_ = 0;
 };
-
-/// Legacy one-shot entry point — the parity oracle for PullProcess.
-SpreadResult run_pull(const Graph& g, Vertex start, PullOptions options,
-                      Rng& rng);
 
 }  // namespace cobra

@@ -121,50 +121,4 @@ void PushProcess::step_faulty(Rng& rng) {
   ++round_;
 }
 
-SpreadResult run_push(const Graph& g, Vertex start, PushOptions options,
-                      Rng& rng) {
-  const std::size_t n = g.num_vertices();
-  if (n == 0) throw std::invalid_argument("run_push requires a non-empty graph");
-  if (start >= n) throw std::invalid_argument("push start out of range");
-  if (g.degree(start) == 0) {
-    throw std::invalid_argument("run_push start must have degree >= 1");
-  }
-
-  std::vector<char> informed(n, 0);
-  std::vector<Vertex> informed_list;
-  informed_list.reserve(n);
-  informed[start] = 1;
-  informed_list.push_back(start);
-
-  SpreadResult result;
-  result.curve.push_back(1);
-  std::size_t round = 0;
-  while (informed_list.size() < n && round < options.max_rounds) {
-    const std::size_t senders = informed_list.size();
-    for (std::size_t i = 0; i < senders; ++i) {
-      const Vertex v = informed_list[i];
-      const Vertex w = g.neighbor(
-          v, rng.next_below32(static_cast<std::uint32_t>(g.degree(v))));
-      if (!informed[w]) {
-        informed[w] = 1;
-        informed_list.push_back(w);
-      }
-    }
-    // Keep the sender list sorted so round r+1 iterates senders in
-    // ascending vertex order (the same canonical order PushProcess and the
-    // batched engine use).
-    std::sort(informed_list.begin() + senders, informed_list.end());
-    std::inplace_merge(informed_list.begin(), informed_list.begin() + senders,
-                       informed_list.end());
-    result.total_transmissions += senders;
-    result.peak_vertex_round_transmissions = 1;
-    ++round;
-    result.curve.push_back(informed_list.size());
-  }
-  result.completed = informed_list.size() == n;
-  result.rounds = round;
-  result.final_count = informed_list.size();
-  return result;
-}
-
 }  // namespace cobra

@@ -25,11 +25,11 @@ struct PushOptions {
 
 /// Steppable push with a reusable workspace: the informed bitmap and list
 /// are sized once at construction and refilled on reset, so trial loops
-/// pay zero allocations after the first trial. Single-start; the RNG
-/// stream is draw-for-draw identical to the legacy run_push (senders are
-/// processed in ascending vertex order each round — the informed list is
-/// kept sorted, which is also what lets the batched engine's
-/// vertex-ordered bit-plane scan replay the exact same stream).
+/// pay zero allocations after the first trial. Single-start; senders are
+/// processed in ascending vertex order each round (the informed list is
+/// kept sorted, which is what lets the batched engine's vertex-ordered
+/// bit-plane scan replay the exact same RNG stream). Results for fixed
+/// seeds are pinned by the golden table in tests/process_test.cpp.
 class PushProcess final : public Process {
  public:
   /// Requires a non-empty graph; reset() validates the start.
@@ -85,11 +85,5 @@ class PushProcess final : public Process {
   std::uint64_t transmissions_ = 0;
   std::uint64_t peak_ = 0;
 };
-
-/// Legacy one-shot entry point (allocates per call). Kept verbatim as the
-/// parity oracle for PushProcess (tests/process_test.cpp); prefer the
-/// factory + PushProcess for anything hot.
-SpreadResult run_push(const Graph& g, Vertex start, PushOptions options,
-                      Rng& rng);
 
 }  // namespace cobra

@@ -118,53 +118,4 @@ void PushPullProcess::step_faulty(Rng& rng) {
   ++round_;
 }
 
-SpreadResult run_push_pull(const Graph& g, Vertex start,
-                           PushPullOptions options, Rng& rng) {
-  const std::size_t n = g.num_vertices();
-  if (n == 0) {
-    throw std::invalid_argument("run_push_pull requires a non-empty graph");
-  }
-  if (start >= n) throw std::invalid_argument("push_pull start out of range");
-  if (g.degree(start) == 0) {
-    throw std::invalid_argument("run_push_pull start must have degree >= 1");
-  }
-
-  std::vector<char> informed(n, 0);
-  std::vector<char> next(n, 0);
-  informed[start] = 1;
-  next[start] = 1;
-  std::size_t count = 1;
-
-  SpreadResult result;
-  result.curve.push_back(count);
-  std::size_t round = 0;
-  while (count < n && round < options.max_rounds) {
-    std::size_t contacts = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      const auto degree = static_cast<std::uint32_t>(g.degree(v));
-      if (degree == 0) continue;
-      ++contacts;
-      const Vertex w = g.neighbor(v, rng.next_below32(degree));
-      if (informed[v]) {
-        next[w] = 1;  // push
-      } else if (informed[w]) {
-        next[v] = 1;  // pull
-      }
-    }
-    count = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      informed[v] = next[v];
-      count += static_cast<std::size_t>(next[v]);
-    }
-    result.total_transmissions += contacts;
-    result.peak_vertex_round_transmissions = 1;
-    ++round;
-    result.curve.push_back(count);
-  }
-  result.completed = count == n;
-  result.rounds = round;
-  result.final_count = count;
-  return result;
-}
-
 }  // namespace cobra

@@ -22,9 +22,10 @@ struct PushPullOptions {
   bool weighted = false;
 };
 
-/// Steppable push-pull with a reusable workspace (see PushProcess). The
-/// RNG stream is draw-for-draw identical to the legacy run_push_pull
-/// (every positive-degree vertex contacts once, in ascending order).
+/// Steppable push-pull with a reusable workspace (see PushProcess). Every
+/// positive-degree vertex contacts once per round, in ascending order;
+/// results for fixed seeds are pinned by the golden table in
+/// tests/process_test.cpp.
 class PushPullProcess final : public Process {
  public:
   explicit PushPullProcess(const Graph& g, PushPullOptions options = {});
@@ -70,9 +71,5 @@ class PushPullProcess final : public Process {
   std::uint64_t transmissions_ = 0;
   std::uint64_t peak_ = 0;
 };
-
-/// Legacy one-shot entry point — the parity oracle for PushPullProcess.
-SpreadResult run_push_pull(const Graph& g, Vertex start,
-                           PushPullOptions options, Rng& rng);
 
 }  // namespace cobra

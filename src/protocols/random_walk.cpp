@@ -119,27 +119,6 @@ void WalkProcess::step_faulty(Rng& rng) {
   }
 }
 
-SpreadResult run_walk_cover(const Graph& g, Vertex start,
-                            RandomWalkOptions options, Rng& rng) {
-  RandomWalk walk(g, start);
-  SpreadResult result;
-  result.curve.reserve(std::min<std::size_t>(g.num_vertices(), 1u << 16));
-  result.curve.push_back(0);  // first distinct visit (the start) at step 0
-  while (!walk.covered() && walk.steps() < options.max_steps) {
-    const std::size_t before = walk.visited_count();
-    walk.step(rng);
-    if (walk.visited_count() > before) {
-      result.curve.push_back(walk.steps());
-    }
-  }
-  result.completed = walk.covered();
-  result.rounds = walk.steps();
-  result.final_count = walk.visited_count();
-  result.total_transmissions = walk.steps();  // one token move per step
-  result.peak_vertex_round_transmissions = 1;
-  return result;
-}
-
 std::optional<std::size_t> walk_hitting_time(const Graph& g, Vertex start,
                                              Vertex target,
                                              RandomWalkOptions options,

@@ -57,10 +57,10 @@ struct RandomWalkOptions {
 
 /// Steppable cover walk with a reusable workspace: the first-visit array
 /// is sized once and epoch-refilled on reset. One Process round == one
-/// walk step, and the RNG stream matches the legacy run_walk_cover
-/// draw-for-draw. The curve keeps the legacy visit-event semantics:
-/// curve[i] = step of the i-th distinct visit (bounded by n entries, not
-/// by the 2^28-step budget).
+/// walk step, so SpreadResult.rounds is the cover time in *steps*. The
+/// curve is sampled at visit events: curve[i] = step of the i-th distinct
+/// visit (bounded by n entries, not by the 2^28-step budget). Results for
+/// fixed seeds are pinned by the golden table in tests/process_test.cpp.
 class WalkProcess final : public Process {
  public:
   explicit WalkProcess(const Graph& g, RandomWalkOptions options = {});
@@ -114,13 +114,6 @@ class WalkProcess final : public Process {
   std::size_t visited_count_ = 0;
   std::uint64_t fault_tx_ = 0;  ///< hops attempted under faults
 };
-
-/// Walks until every vertex is visited (or max_steps); SpreadResult.rounds
-/// is the cover time in *steps*. curve is sampled only at visit events to
-/// keep memory bounded: curve[i] = step of the i-th distinct visit.
-/// Legacy one-shot entry point — the parity oracle for WalkProcess.
-SpreadResult run_walk_cover(const Graph& g, Vertex start,
-                            RandomWalkOptions options, Rng& rng);
 
 /// Steps until `target` is reached; nullopt if not within max_steps.
 std::optional<std::size_t> walk_hitting_time(const Graph& g, Vertex start,

@@ -2,11 +2,11 @@
 //
 // Batched engines for the rumor-spreading protocols (push, pull,
 // push-pull) plus the factory and the dry-run workspace estimator. The
-// COBRA and BIPS engines live in batched_cobra.cpp / batched_bips.cpp;
-// all five share the conventions documented in batched.hpp: lane l of a
-// block replays Rng::for_trial(base, first + l) draw for draw, active
-// sets are walked in ascending vertex order, and per-lane results are
-// bitwise-identical to the scalar Process path.
+// COBRA engine lives in batched_cobra.cpp; all four share the conventions
+// documented in batched.hpp: lane l of a block replays
+// Rng::for_trial(base, first + l) draw for draw, active sets are walked
+// in ascending vertex order, and per-lane results are bitwise-identical
+// to the scalar Process path.
 #include "sim/batched.hpp"
 
 #include <algorithm>
@@ -454,9 +454,6 @@ std::unique_ptr<BatchedEngine> make_batched_engine(const Process& prototype,
   if (const auto* p = dynamic_cast<const CobraProcess*>(&prototype)) {
     return batched_detail::make_batched_cobra(*p, batch);
   }
-  if (const auto* p = dynamic_cast<const BipsProcess*>(&prototype)) {
-    return batched_detail::make_batched_bips(*p, batch);
-  }
   if (const auto* p = dynamic_cast<const PushProcess*>(&prototype)) {
     return std::make_unique<BatchedPush>(p->graph(), p->options(), batch);
   }
@@ -477,12 +474,6 @@ std::uint64_t batched_workspace_estimate(std::string_view process_name,
   if (process_name == "cobra") {
     // cur/next/visited planes + two ascending union lists.
     return 3 * plane + 2 * list;
-  }
-  if (process_name == "bips") {
-    // source/infected/next planes + candidate marks (u64) + lane-major
-    // infected-neighbour counts (u32) and candidate lists (u32).
-    return 3 * plane + plane + 2 * static_cast<std::uint64_t>(batch) * n * 4 +
-           4 * list;
   }
   if (process_name == "push") {
     return 2 * plane + 2 * list;  // informed/fresh planes + union lists

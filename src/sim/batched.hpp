@@ -22,11 +22,13 @@
 // makes the campaign `[engine] batch=` key fingerprint-neutral: journals
 // and sinks interoperate byte-for-byte whatever the batch size.
 //
-// Supported processes: cobra, bips, push, pull, push-pull — weighted and
+// Supported processes: cobra, push, pull, push-pull — weighted and
 // fractional-branching variants included. Unsupported combinations
 // (other processes, any attached fault model, observer-recorded trials)
 // fall back to the scalar Process path; make_batched_engine returns
-// nullptr and callers keep the scalar loop.
+// nullptr and callers keep the scalar loop. BIPS has no batched variant:
+// its lockstep engine measured 0.66-0.92x the scalar throughput at
+// B = 8 and 32, so a batched BIPS job runs the scalar loop.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,7 @@
 // SPDX-License-Identifier: MIT
 //
 // Internals shared by the batched-engine translation units
-// (sim/batched.cpp, sim/batched_cobra.cpp, sim/batched_bips.cpp). Not
+// (sim/batched.cpp, sim/batched_cobra.cpp). Not
 // part of the public API — include sim/batched.hpp instead.
 #pragma once
 
@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/bips.hpp"
 #include "core/cobra.hpp"
 #include "graph/graph.hpp"
 #include "protocols/pull.hpp"
@@ -156,7 +155,5 @@ struct LaneResults {
 
 std::unique_ptr<BatchedEngine> make_batched_cobra(const CobraProcess& prototype,
                                                   std::size_t batch);
-std::unique_ptr<BatchedEngine> make_batched_bips(const BipsProcess& prototype,
-                                                 std::size_t batch);
 
 }  // namespace cobra::batched_detail

@@ -47,17 +47,6 @@ std::vector<Vertex> spreadable_starts(const Graph& g) {
   return starts;
 }
 
-SpreadMeasurement measure_spread(
-    const Graph& g, const TrialOptions& trials,
-    const std::function<SpreadResult(Vertex, Rng&)>& run) {
-  const auto starts = spreadable_starts(g);
-  const auto results = run_trials_collect<SpreadResult>(
-      trials, [&](std::size_t i, Rng& rng) {
-        return run(starts[i % starts.size()], rng);
-      });
-  return summarize_results(results);
-}
-
 SpreadMeasurement measure_cobra(const Graph& g, const CobraOptions& options,
                                 const TrialOptions& trials) {
   const auto starts = spreadable_starts(g);

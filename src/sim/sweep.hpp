@@ -7,7 +7,6 @@
 // non-transitive instances.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "core/bips.hpp"
@@ -44,13 +43,6 @@ SpreadMeasurement measure_cobra(const Graph& g, const CobraOptions& options,
 /// Infection time of BIPS with the source rotating over vertices.
 SpreadMeasurement measure_bips(const Graph& g, const BipsOptions& options,
                                const TrialOptions& trials);
-
-/// Generic variant for one-shot run functions: `run` maps (start, rng) to
-/// a SpreadResult. Prefer measure_process, which reuses one workspace per
-/// thread.
-SpreadMeasurement measure_spread(
-    const Graph& g, const TrialOptions& trials,
-    const std::function<SpreadResult(Vertex, Rng&)>& run);
 
 /// Registry-driven variant: measures the factory process named `name`
 /// with string `params` (exactly what a scenario spec would pass), one

@@ -3,6 +3,7 @@
 // Tests for the ablation/instrumentation modules: the non-coalescing
 // branching walk, per-vertex load accounting, and the Accounting class.
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,13 +19,18 @@ TEST(BranchingWalk, PopulationDoublesWithoutCoalescing) {
   // On K_n with k = 2 and no collisions with the cap, population is
   // exactly 2^t until saturation.
   const Graph g = gen::complete(32);
-  Rng rng(1);
   BranchingWalkOptions options;
   options.max_rounds = 6;
-  const auto result = run_branching_walk(g, 0, options, rng);
-  ASSERT_GE(result.population_curve.size(), 6u);
+  BranchingWalkProcess walk(g, options);
+  walk.reset(Rng(1), 0);
+  std::vector<std::uint64_t> population_curve{walk.population()};
+  while (!walk.done()) {
+    walk.step();
+    population_curve.push_back(walk.population());
+  }
+  ASSERT_GE(population_curve.size(), 6u);
   for (std::size_t t = 0; t < 6; ++t) {
-    EXPECT_EQ(result.population_curve[t], 1ull << t) << "t=" << t;
+    EXPECT_EQ(population_curve[t], 1ull << t) << "t=" << t;
   }
 }
 
@@ -34,11 +40,11 @@ TEST(BranchingWalk, CoversExpander) {
   Rng rng(3);
   BranchingWalkOptions options;
   options.max_rounds = 64;
-  const auto result = run_branching_walk(g, 0, options, rng);
-  EXPECT_TRUE(result.covered);
+  const auto result = BranchingWalkProcess(g, options).run(rng, 0);
+  EXPECT_TRUE(result.completed);
   // Without coalescing, messages blow up exponentially: covering 256
   // vertices costs far more than COBRA's ~2 messages per vertex per round.
-  EXPECT_GT(result.total_messages, 1000u);
+  EXPECT_GT(result.total_transmissions, 1000u);
 }
 
 TEST(BranchingWalk, MessagesGrowGeometrically) {
@@ -46,9 +52,9 @@ TEST(BranchingWalk, MessagesGrowGeometrically) {
   Rng rng(4);
   BranchingWalkOptions options;
   options.max_rounds = 10;
-  const auto result = run_branching_walk(g, 0, options, rng);
+  const auto result = BranchingWalkProcess(g, options).run(rng, 0);
   // Total messages = 2 + 4 + ... ~ 2^(rounds+1) - 2 until saturation.
-  EXPECT_GE(result.total_messages, (1ull << result.rounds) - 2);
+  EXPECT_GE(result.total_transmissions, (1ull << result.rounds) - 2);
 }
 
 TEST(BranchingWalk, SaturationIsReported) {
@@ -57,17 +63,19 @@ TEST(BranchingWalk, SaturationIsReported) {
   BranchingWalkOptions options;
   options.max_rounds = 40;
   options.vertex_cap = 64;  // force saturation quickly
-  const auto result = run_branching_walk(g, 0, options, rng);
-  EXPECT_TRUE(result.saturated);
+  BranchingWalkProcess walk(g, options);
+  walk.run(rng, 0);
+  EXPECT_TRUE(walk.saturated());
 }
 
 TEST(BranchingWalk, RejectsBadInputs) {
   const Graph g = gen::cycle(5);
   Rng rng(6);
-  EXPECT_THROW(run_branching_walk(g, 9, {}, rng), std::invalid_argument);
+  EXPECT_THROW(BranchingWalkProcess(g).run(rng, 9), std::invalid_argument);
   BranchingWalkOptions zero_k;
   zero_k.k = 0;
-  EXPECT_THROW(run_branching_walk(g, 0, zero_k, rng), std::invalid_argument);
+  EXPECT_THROW(BranchingWalkProcess(g, zero_k).run(rng, 0),
+               std::invalid_argument);
 }
 
 TEST(Load, ActivationsCoverRun) {

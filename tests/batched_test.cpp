@@ -115,17 +115,6 @@ TEST(BatchedParity, CobraFractionalBranching) {
   });
 }
 
-TEST(BatchedParity, Bips) {
-  expect_bitwise_parity([](const Graph& g) {
-    return [&g] {
-      BipsOptions options;
-      options.branching.k = 2;
-      options.max_rounds = 4096;
-      return std::make_unique<BipsProcess>(g, 0, options);
-    };
-  });
-}
-
 TEST(BatchedParity, Push) {
   expect_bitwise_parity([](const Graph& g) {
     return [&g] { return std::make_unique<PushProcess>(g, PushOptions{}); };
@@ -156,13 +145,6 @@ TEST(BatchedParity, WeightedDraws) {
         options.branching.k = 2;
         options.weighted = true;
         return std::make_unique<CobraProcess>(g, 0, options);
-      },
-      [&g] {
-        BipsOptions options;
-        options.branching.k = 2;
-        options.weighted = true;
-        options.max_rounds = 4096;
-        return std::make_unique<BipsProcess>(g, 0, options);
       },
       [&g] {
         PushOptions options;
@@ -230,18 +212,27 @@ TEST(BatchedRunner, FallsBackWhenUnsupported) {
   Rng rng(31);
   const Graph g = gen::connected_random_regular(64, 4, rng);
   const std::vector<Vertex> starts = {0};
-  const ProcessFactory make_process = [&g] {
+  const ProcessFactory make_cobra = [&g] {
     return std::make_unique<CobraProcess>(g, 0, CobraOptions{});
+  };
+  const ProcessFactory make_bips = [&g] {
+    return std::make_unique<BipsProcess>(g, 0, BipsOptions{});
   };
   TrialOptions options;
   options.trials = 9;
   options.base_seed = 77;
-  // batch = 1 has no batched engine; the runner must produce the scalar
-  // results through the fallback path.
-  const auto scalar = run_process_trials(options, make_process, starts);
-  const auto fallback =
-      run_process_trials_batched(options, make_process, starts, 1);
-  EXPECT_EQ(scalar, fallback);
+  // batch = 1 has no batched engine, nor has BIPS at any batch; the runner
+  // must produce the scalar results through the fallback path.
+  const struct {
+    const ProcessFactory* make_process;
+    std::size_t batch;
+  } cases[] = {{&make_cobra, 1}, {&make_bips, 8}};
+  for (const auto& c : cases) {
+    const auto scalar = run_process_trials(options, *c.make_process, starts);
+    const auto fallback =
+        run_process_trials_batched(options, *c.make_process, starts, c.batch);
+    EXPECT_EQ(scalar, fallback) << "batch=" << c.batch;
+  }
 }
 
 TEST(BatchedFactory, RejectsUnsupportedConfigurations) {
@@ -252,6 +243,9 @@ TEST(BatchedFactory, RejectsUnsupportedConfigurations) {
   EXPECT_EQ(make_batched_engine(process, 1), nullptr);
   EXPECT_EQ(make_batched_engine(process, kMaxBatch + 1), nullptr);
   EXPECT_NE(make_batched_engine(process, kMaxBatch), nullptr);
+  // BIPS has no batched variant at any width.
+  const BipsProcess bips(g, 0, BipsOptions{});
+  EXPECT_EQ(make_batched_engine(bips, 8), nullptr);
 
   // A fault model forces the scalar path: fault streams interleave with
   // process draws and are not replayed by the batched engines.
@@ -265,15 +259,12 @@ TEST(BatchedFactory, RejectsUnsupportedConfigurations) {
 
 TEST(BatchedFactory, WorkspaceEstimateMatchesSupport) {
   EXPECT_GT(batched_workspace_estimate("cobra", 1024, 8), 0u);
-  EXPECT_GT(batched_workspace_estimate("bips", 1024, 8), 0u);
   EXPECT_GT(batched_workspace_estimate("push", 1024, 8), 0u);
   EXPECT_GT(batched_workspace_estimate("pull", 1024, 8), 0u);
   EXPECT_GT(batched_workspace_estimate("push-pull", 1024, 8), 0u);
   EXPECT_EQ(batched_workspace_estimate("flood", 1024, 8), 0u);
+  EXPECT_EQ(batched_workspace_estimate("bips", 1024, 8), 0u);
   EXPECT_EQ(batched_workspace_estimate("cobra", 1024, 1), 0u);
-  // BIPS lane-major slices dominate: the estimate must scale with batch.
-  EXPECT_GT(batched_workspace_estimate("bips", 1024, 64),
-            batched_workspace_estimate("bips", 1024, 2));
 }
 
 TEST(BatchedEngineApi, ReportsWorkspaceBytes) {

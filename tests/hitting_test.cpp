@@ -110,9 +110,9 @@ TEST(Matthews, BracketsSimulatedCoverTime) {
   const auto bounds = matthews_cover_bounds(g);
   EXPECT_LT(bounds.lower, bounds.upper);
   OnlineStats cover;
+  WalkProcess walk(g);
   for (std::size_t i = 0; i < 300; ++i) {
-    Rng rng = Rng::for_trial(0xC0E, i);
-    const auto result = run_walk_cover(g, 0, {}, rng);
+    const auto result = walk.run(Rng::for_trial(0xC0E, i), 0);
     ASSERT_TRUE(result.completed);
     cover.add(static_cast<double>(result.rounds));
   }

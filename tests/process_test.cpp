@@ -1,13 +1,16 @@
 // SPDX-License-Identifier: MIT
 //
-// Unified Process API tests: (a) the parity suite — every migrated
-// steppable protocol class reproduces its legacy one-shot function
-// result-for-result under fixed seeds across several graph families,
-// (b) observer-captured curves are deterministic and equal to
+// Unified Process API tests: (a) golden digests of every SpreadResult
+// field for each steppable protocol under fixed seeds across several
+// graph families, plus COBRA/BIPS factory parity with their engine
+// wrappers, (b) observer-captured curves are deterministic and equal to
 // SpreadResult::curve, (c) factory metadata and error behaviour, and
 // (d) trial-runner integration (thread-count independence).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,14 +19,7 @@
 #include "core/cobra.hpp"
 #include "core/process.hpp"
 #include "core/process_factory.hpp"
-#include "core/sis.hpp"
 #include "graph/generators.hpp"
-#include "protocols/branching_walk.hpp"
-#include "protocols/flood.hpp"
-#include "protocols/pull.hpp"
-#include "protocols/push.hpp"
-#include "protocols/push_pull.hpp"
-#include "protocols/random_walk.hpp"
 #include "sim/trial_runner.hpp"
 
 namespace cobra {
@@ -42,92 +38,88 @@ std::vector<Graph> parity_graphs() {
 
 constexpr std::uint64_t kSeeds[] = {7, 1001, 987654321};
 
-// ---- parity: steppable classes vs legacy free functions ----
+// ---- golden digests: every SpreadResult field, pinned ----
 
-TEST(ProcessParity, PushMatchesLegacy) {
-  for (const Graph& g : parity_graphs()) {
-    for (const std::uint64_t seed : kSeeds) {
-      Rng legacy_rng(seed);
-      const SpreadResult expected = run_push(g, 0, {}, legacy_rng);
-      const auto process = make_process(g, "push", {});
-      EXPECT_EQ(process->run(Rng(seed), 0), expected) << g.name();
+/// FNV-1a over every SpreadResult field as u64 words: the scalars, the
+/// curve (length, then entries), the fault counters and the energy bits.
+std::uint64_t SpreadDigest(const SpreadResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
     }
-  }
+  };
+  mix(r.completed);
+  mix(r.rounds);
+  mix(r.final_count);
+  mix(r.curve.size());
+  for (const std::size_t c : r.curve) mix(c);
+  mix(r.total_transmissions);
+  mix(r.peak_vertex_round_transmissions);
+  mix(r.delivered);
+  mix(r.dropped_channel);
+  mix(r.blocked_receiver);
+  mix(std::bit_cast<std::uint64_t>(r.energy));
+  return h;
 }
 
-TEST(ProcessParity, PullMatchesLegacy) {
-  for (const Graph& g : parity_graphs()) {
-    for (const std::uint64_t seed : kSeeds) {
-      Rng legacy_rng(seed);
-      const SpreadResult expected = run_pull(g, 0, {}, legacy_rng);
-      const auto process = make_process(g, "pull", {});
-      EXPECT_EQ(process->run(Rng(seed), 0), expected) << g.name();
-    }
-  }
-}
+struct GoldenRow {
+  const char* process;
+  ProcessParams params;
+  Vertex start;
+  /// digest[3 * graph + seed] over parity_graphs() x kSeeds: one line per
+  /// graph, random_regular(96, 6), torus(6x7), complete(48).
+  std::array<std::uint64_t, 9> digest;
+};
 
-TEST(ProcessParity, PushPullMatchesLegacy) {
-  for (const Graph& g : parity_graphs()) {
-    for (const std::uint64_t seed : kSeeds) {
-      Rng legacy_rng(seed);
-      const SpreadResult expected = run_push_pull(g, 0, {}, legacy_rng);
-      const auto process = make_process(g, "push-pull", {});
-      EXPECT_EQ(process->run(Rng(seed), 0), expected) << g.name();
-    }
-  }
-}
-
-TEST(ProcessParity, FloodMatchesLegacy) {
-  for (const Graph& g : parity_graphs()) {
-    const SpreadResult expected = run_flood(g, 1, {});
-    const auto process = make_process(g, "flood", {});
-    EXPECT_EQ(process->run(Rng(0), 1), expected) << g.name();
-  }
-}
-
-TEST(ProcessParity, WalkMatchesLegacy) {
-  for (const Graph& g : parity_graphs()) {
-    for (const std::uint64_t seed : kSeeds) {
-      Rng legacy_rng(seed);
-      const SpreadResult expected = run_walk_cover(g, 0, {}, legacy_rng);
-      const auto process = make_process(g, "walk", {});
-      EXPECT_EQ(process->run(Rng(seed), 0), expected) << g.name();
-    }
-  }
-}
-
-TEST(ProcessParity, BranchingWalkMatchesLegacy) {
-  for (const Graph& g : parity_graphs()) {
-    for (const std::uint64_t seed : kSeeds) {
-      Rng legacy_rng(seed);
-      const BranchingWalkResult expected =
-          run_branching_walk(g, 0, {}, legacy_rng);
-      const auto process = make_process(g, "branching-walk", {});
-      const SpreadResult got = process->run(Rng(seed), 0);
-      EXPECT_EQ(got.completed, expected.covered) << g.name();
-      EXPECT_EQ(got.rounds, expected.rounds) << g.name();
-      EXPECT_EQ(got.final_count, expected.final_visited) << g.name();
-      EXPECT_EQ(got.total_transmissions, expected.total_messages) << g.name();
-    }
-  }
-}
-
-TEST(ProcessParity, SisMatchesLegacy) {
-  for (const Graph& g : parity_graphs()) {
-    for (const std::uint64_t seed : kSeeds) {
-      SisOptions options;
-      options.max_rounds = 2000;
-      Rng legacy_rng(seed);
-      const SisResult expected = run_sis(g, 0, options, legacy_rng);
-      const auto process =
-          make_process(g, "sis", {{"max_rounds", "2000"}});
-      const SpreadResult got = process->run(Rng(seed), 0);
-      EXPECT_EQ(got.completed,
-                expected.outcome == SisOutcome::kFullInfection)
-          << g.name();
-      EXPECT_EQ(got.rounds, expected.rounds) << g.name();
-      EXPECT_EQ(got.final_count, expected.final_count) << g.name();
-      EXPECT_EQ(got.curve, expected.curve) << g.name();
+TEST(ProcessGolden, SpreadDigestsArePinned) {
+  // Generated from the one-shot reference functions these processes
+  // replaced, which they matched draw for draw. The branching-walk and
+  // SIS one-shot results carried fewer fields: those fields were checked
+  // equal and the full process result pinned. Flood never draws, so its
+  // seeds agree. A changed digest changes every campaign sink for that
+  // process and must be a deliberate edit here.
+  const std::vector<GoldenRow> golden = {
+      {"push", {}, 0,
+       {0x64b9bae9f9a5765eull, 0xcf07c7e735dc756dull, 0x8a911b2673f371e1ull,
+        0xa3e30893e6789b78ull, 0xadd6e3c44ea028faull, 0xe58f3bf88fc3c3b9ull,
+        0xd748983eb39594d6ull, 0x0f1b61b3c1d610bdull, 0xf644979e49a617feull}},
+      {"pull", {}, 0,
+       {0xd4be3d8f268dbe00ull, 0x175e6d12389ce6eaull, 0xc98bbba0ce9e0590ull,
+        0x5347ee9aa2b8d889ull, 0xa259025574356263ull, 0x82684e47f20608fdull,
+        0x28cfd76341d13ceeull, 0x5da5154c5b1e041cull, 0x60c7bb8d63cbbb9bull}},
+      {"push-pull", {}, 0,
+       {0xc2a46b66ff699226ull, 0x4a3716dc69e0896aull, 0xaadc9a5b00f8f192ull,
+        0xe27f83cb25e6ad40ull, 0x00a3d7fe514e08abull, 0xc3d04216ca28f638ull,
+        0x194a9a1c7a60c879ull, 0x98ab32c842685ccfull, 0x203f676e6e21e756ull}},
+      {"flood", {}, 1,
+       {0x9d833145654f2b05ull, 0x9d833145654f2b05ull, 0x9d833145654f2b05ull,
+        0x91da18d599bcf7a1ull, 0x91da18d599bcf7a1ull, 0x91da18d599bcf7a1ull,
+        0xa996594834923266ull, 0xa996594834923266ull, 0xa996594834923266ull}},
+      {"walk", {}, 0,
+       {0xffc4dbef57292ef3ull, 0xcb3fe601a5cf4b52ull, 0xd869b47dd2f6e7acull,
+        0xfe68306190917993ull, 0x40cdbdfe0749478cull, 0xd59e4961e273524aull,
+        0x63aa599540d83168ull, 0xf23e41afe1e9b449ull, 0xd0c18094f27fea48ull}},
+      {"branching-walk", {}, 0,
+       {0x15fa9395743ba19full, 0x53f6398fbf92709eull, 0x214f49d3cbd17530ull,
+        0xd9e1d8acc429d90full, 0x8b0f3cffb98c7b5eull, 0xbbac57d609fc2353ull,
+        0x1d984193268f67c6ull, 0x9845a0be06e4dd03ull, 0x32b326425d5fdc87ull}},
+      {"sis", {{"max_rounds", "2000"}}, 0,
+       {0x1e303efa035c0711ull, 0x5cbcd96f8353b717ull, 0x8087575d68fbbf75ull,
+        0xea6536f7a8c45152ull, 0x75958a573deb53b3ull, 0xad8e41e27240dac5ull,
+        0x664d9e6b3773638dull, 0x66162efce0c1cd51ull, 0x20028c3fc7d7ae19ull}},
+  };
+  const std::vector<Graph> graphs = parity_graphs();
+  for (const GoldenRow& row : golden) {
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      const auto process = make_process(graphs[gi], row.process, row.params);
+      for (std::size_t si = 0; si < std::size(kSeeds); ++si) {
+        EXPECT_EQ(SpreadDigest(process->run(Rng(kSeeds[si]), row.start)),
+                  row.digest[3 * gi + si])
+            << row.process << " on " << graphs[gi].name()
+            << " seed=" << kSeeds[si];
+      }
     }
   }
 }

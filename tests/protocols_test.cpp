@@ -31,7 +31,7 @@ TEST(RandomWalkTest, StaysOnNeighbors) {
 TEST(RandomWalkTest, CoversSmallGraph) {
   const Graph g = gen::cycle(20);
   Rng rng(2);
-  const auto result = run_walk_cover(g, 0, {}, rng);
+  const auto result = WalkProcess(g).run(rng, 0);
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.final_count, 20u);
   // Cycle cover time is Theta(n^2); sanity bound.
@@ -41,7 +41,7 @@ TEST(RandomWalkTest, CoversSmallGraph) {
 TEST(RandomWalkTest, CoverCurveHasOneEntryPerVertex) {
   const Graph g = gen::complete(15);
   Rng rng(3);
-  const auto result = run_walk_cover(g, 0, {}, rng);
+  const auto result = WalkProcess(g).run(rng, 0);
   ASSERT_TRUE(result.completed);
   EXPECT_EQ(result.curve.size(), 15u);  // one entry per distinct visit
 }
@@ -68,7 +68,7 @@ TEST(RandomWalkTest, RejectsBadStart) {
 TEST(Push, InformsEveryoneOnExpander) {
   const Graph g = gen::complete(128);
   Rng rng(6);
-  const auto result = run_push(g, 0, {}, rng);
+  const auto result = PushProcess(g).run(rng, 0);
   EXPECT_TRUE(result.completed);
   // Push on K_n takes ~ log2 n + ln n rounds; generous upper bound.
   EXPECT_LE(result.rounds, 60u);
@@ -77,7 +77,7 @@ TEST(Push, InformsEveryoneOnExpander) {
 TEST(Push, InformedSetIsMonotone) {
   const Graph g = gen::torus({6, 6});
   Rng rng(7);
-  const auto result = run_push(g, 0, {}, rng);
+  const auto result = PushProcess(g).run(rng, 0);
   ASSERT_TRUE(result.completed);
   for (std::size_t i = 1; i < result.curve.size(); ++i) {
     EXPECT_GE(result.curve[i], result.curve[i - 1]);
@@ -87,7 +87,7 @@ TEST(Push, InformedSetIsMonotone) {
 TEST(Push, TransmissionsGrowWithInformedSet) {
   const Graph g = gen::complete(64);
   Rng rng(8);
-  const auto result = run_push(g, 0, {}, rng);
+  const auto result = PushProcess(g).run(rng, 0);
   ASSERT_TRUE(result.completed);
   // Total transmissions = sum of informed counts per round > rounds.
   EXPECT_GT(result.total_transmissions, result.rounds);
@@ -101,8 +101,9 @@ TEST(PushPull, FasterOrEqualToPushOnAverage) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng r1(seed);
     Rng r2(seed + 500);
-    push_total += static_cast<double>(run_push(g, 0, {}, r1).rounds);
-    pushpull_total += static_cast<double>(run_push_pull(g, 0, {}, r2).rounds);
+    push_total += static_cast<double>(PushProcess(g).run(r1, 0).rounds);
+    pushpull_total +=
+        static_cast<double>(PushPullProcess(g).run(r2, 0).rounds);
   }
   EXPECT_LE(pushpull_total, push_total);
 }
@@ -112,14 +113,14 @@ TEST(PushPull, CompletesOnSparseGraph) {
   Rng rng(9);
   PushPullOptions options;
   options.max_rounds = 100000;
-  const auto result = run_push_pull(g, 0, options, rng);
+  const auto result = PushPullProcess(g, options).run(rng, 0);
   EXPECT_TRUE(result.completed);
 }
 
 TEST(PushPull, InformedNeverDecreases) {
   const Graph g = gen::petersen();
   Rng rng(10);
-  const auto result = run_push_pull(g, 0, {}, rng);
+  const auto result = PushPullProcess(g).run(rng, 0);
   for (std::size_t i = 1; i < result.curve.size(); ++i) {
     EXPECT_GE(result.curve[i], result.curve[i - 1]);
   }
@@ -128,7 +129,7 @@ TEST(PushPull, InformedNeverDecreases) {
 TEST(Flood, RoundsEqualEccentricity) {
   for (const auto& g : {gen::cycle(11), gen::torus({4, 6}), gen::hypercube(5),
                         gen::petersen(), gen::binary_tree(5)}) {
-    const auto result = run_flood(g, 0, {});
+    const auto result = FloodProcess(g).run(Rng(0), 0);
     ASSERT_TRUE(result.completed) << g.name();
     EXPECT_EQ(result.rounds, eccentricity(g, 0).value()) << g.name();
   }
@@ -136,8 +137,8 @@ TEST(Flood, RoundsEqualEccentricity) {
 
 TEST(Flood, IsDeterministic) {
   const Graph g = gen::torus({5, 5});
-  const auto a = run_flood(g, 3, {});
-  const auto b = run_flood(g, 3, {});
+  const auto a = FloodProcess(g).run(Rng(0), 3);
+  const auto b = FloodProcess(g).run(Rng(0), 3);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.curve, b.curve);
   EXPECT_EQ(a.total_transmissions, b.total_transmissions);
@@ -145,7 +146,7 @@ TEST(Flood, IsDeterministic) {
 
 TEST(Flood, MessageCountReflectsDegrees) {
   const Graph g = gen::complete(10);
-  const auto result = run_flood(g, 0, {});
+  const auto result = FloodProcess(g).run(Rng(0), 0);
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.rounds, 1u);
   EXPECT_EQ(result.total_transmissions, 9u);  // start sends to all others
@@ -154,7 +155,7 @@ TEST(Flood, MessageCountReflectsDegrees) {
 
 TEST(Flood, CurveMatchesBfsLayers) {
   const Graph g = gen::hypercube(4);
-  const auto result = run_flood(g, 0, {});
+  const auto result = FloodProcess(g).run(Rng(0), 0);
   const auto dist = bfs_distances(g, 0);
   for (std::size_t t = 0; t < result.curve.size(); ++t) {
     std::size_t within = 0;

@@ -105,7 +105,7 @@ TEST(BarabasiAlbert, RejectsBadParameters) {
 TEST(Pull, InformsCompleteGraph) {
   const Graph g = gen::complete(128);
   Rng rng(10);
-  const auto result = run_pull(g, 0, {}, rng);
+  const auto result = PullProcess(g).run(rng, 0);
   EXPECT_TRUE(result.completed);
   EXPECT_LE(result.rounds, 60u);
 }
@@ -113,7 +113,7 @@ TEST(Pull, InformsCompleteGraph) {
 TEST(Pull, MonotoneCurve) {
   const Graph g = gen::torus({5, 5});
   Rng rng(11);
-  const auto result = run_pull(g, 0, {}, rng);
+  const auto result = PullProcess(g).run(rng, 0);
   ASSERT_TRUE(result.completed);
   for (std::size_t i = 1; i < result.curve.size(); ++i) {
     EXPECT_GE(result.curve[i], result.curve[i - 1]);
@@ -125,7 +125,7 @@ TEST(Pull, ContactsShrinkAsInformedGrows) {
   // are strictly less than rounds * n (contrast with push-pull's n/round).
   const Graph g = gen::complete(256);
   Rng rng(12);
-  const auto result = run_pull(g, 0, {}, rng);
+  const auto result = PullProcess(g).run(rng, 0);
   ASSERT_TRUE(result.completed);
   EXPECT_LT(result.total_transmissions,
             result.rounds * g.num_vertices());
@@ -140,7 +140,7 @@ TEST(Pull, SlowStartOnStar) {
   Rng rng(13);
   PullOptions options;
   options.max_rounds = 1u << 16;
-  const auto result = run_pull(g, 1, options, rng);
+  const auto result = PullProcess(g, options).run(rng, 1);
   EXPECT_TRUE(result.completed);
   EXPECT_GT(result.rounds, 1u);
 }
@@ -148,7 +148,7 @@ TEST(Pull, SlowStartOnStar) {
 TEST(Pull, RejectsBadInputs) {
   const Graph g = gen::cycle(5);
   Rng rng(14);
-  EXPECT_THROW(run_pull(g, 9, {}, rng), std::invalid_argument);
+  EXPECT_THROW(PullProcess(g).run(rng, 9), std::invalid_argument);
 }
 
 // ---- chi-square ----

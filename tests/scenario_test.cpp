@@ -14,7 +14,6 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "protocols/push.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sink.hpp"
@@ -391,8 +390,9 @@ TEST(Campaign, BatchedEngineIsFingerprintNeutralAndByteIdentical) {
 }
 
 TEST(Campaign, BatchedEngineFallsBackPerJob) {
-  // flood has no batched engine and the faulted axis forces the scalar
-  // path for every process — both must degrade silently and identically.
+  // flood and bips have no batched engine and the faulted axis forces the
+  // scalar path for every process — all must degrade silently and
+  // identically.
   constexpr const char* kSweep = R"(
 [campaign]
 name = engines
@@ -404,7 +404,7 @@ family = cycle
 n = 48
 
 [process]
-name = push, flood
+name = push, flood, bips
 
 [faults]
 drop = 0, 0.2
@@ -582,12 +582,8 @@ TEST(Sweep, StartRotationSkipsIsolatedVertices) {
             (std::vector<Vertex>{0, 1, 2, 3}));
   TrialOptions trials;
   trials.trials = 10;  // > 5, so the old i % n rotation would hit vertex 4
-  const auto measurement = measure_spread(
-      g, trials, [&](Vertex start, Rng& rng) {
-        PushOptions options;
-        options.max_rounds = 64;
-        return run_push(g, start, options, rng);
-      });
+  const auto measurement =
+      measure_process(g, "push", {{"max_rounds", "64"}}, trials);
   // Cover can never complete (vertex 4 is unreachable), but no trial may
   // crash or hang on an empty neighbourhood.
   EXPECT_EQ(measurement.failed, 10u);

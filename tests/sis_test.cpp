@@ -16,8 +16,8 @@ namespace {
 TEST(Sis, RejectsBadInputs) {
   const Graph g = gen::cycle(5);
   Rng rng(1);
-  EXPECT_THROW(run_sis(g, 7, {}, rng), std::invalid_argument);
-  EXPECT_THROW(run_sis(Graph(), 0, {}, rng), std::invalid_argument);
+  EXPECT_THROW(SisProcess(g).run(rng, 7), std::invalid_argument);
+  EXPECT_THROW(SisProcess(Graph()).run(rng, 0), std::invalid_argument);
 }
 
 TEST(Sis, CanGoExtinct) {
@@ -26,11 +26,11 @@ TEST(Sis, CanGoExtinct) {
   const Graph g = gen::cycle(50);
   SisOptions options;
   options.max_rounds = 5000;
+  SisProcess sis(g, options);
   std::size_t extinctions = 0;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    Rng rng(seed);
-    const auto result = run_sis(g, 0, options, rng);
-    extinctions += (result.outcome == SisOutcome::kExtinct);
+    sis.run(Rng(seed), 0);
+    extinctions += (sis.outcome() == SisOutcome::kExtinct);
   }
   EXPECT_GT(extinctions, 0u);
 }
@@ -39,10 +39,10 @@ TEST(Sis, ExtinctRunsEndWithZero) {
   const Graph g = gen::cycle(30);
   SisOptions options;
   options.max_rounds = 10000;
+  SisProcess sis(g, options);
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    Rng rng(seed);
-    const auto result = run_sis(g, 0, options, rng);
-    if (result.outcome == SisOutcome::kExtinct) {
+    const auto result = sis.run(Rng(seed), 0);
+    if (sis.outcome() == SisOutcome::kExtinct) {
       EXPECT_EQ(result.final_count, 0u);
       EXPECT_EQ(result.curve.back(), 0u);
       return;
@@ -55,11 +55,11 @@ TEST(Sis, FullInfectionOnCompleteGraphIsCommon) {
   const Graph g = gen::complete(64);
   SisOptions options;
   options.max_rounds = 2000;
+  SisProcess sis(g, options);
   std::size_t full = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    Rng rng(seed);
-    const auto result = run_sis(g, 0, options, rng);
-    full += (result.outcome == SisOutcome::kFullInfection);
+    sis.run(Rng(seed), 0);
+    full += (sis.outcome() == SisOutcome::kFullInfection);
   }
   // On K_n the one-step growth is nearly 2x; most runs saturate.
   EXPECT_GT(full, 10u);
@@ -70,7 +70,7 @@ TEST(Sis, CurveTracksCounts) {
   Rng rng(7);
   SisOptions options;
   options.max_rounds = 100;
-  const auto result = run_sis(g, 0, options, rng);
+  const auto result = SisProcess(g, options).run(rng, 0);
   ASSERT_FALSE(result.curve.empty());
   EXPECT_EQ(result.curve.front(), 1u);
   EXPECT_EQ(result.curve.back(), result.final_count);
@@ -82,11 +82,13 @@ TEST(Sis, DeterministicUnderSeed) {
   SisOptions options;
   Rng a(42);
   Rng b(42);
-  const auto ra = run_sis(g, 0, options, a);
-  const auto rb = run_sis(g, 0, options, b);
+  SisProcess pa(g, options);
+  SisProcess pb(g, options);
+  const auto ra = pa.run(a, 0);
+  const auto rb = pb.run(b, 0);
   EXPECT_EQ(ra.rounds, rb.rounds);
   EXPECT_EQ(ra.curve, rb.curve);
-  EXPECT_EQ(static_cast<int>(ra.outcome), static_cast<int>(rb.outcome));
+  EXPECT_EQ(static_cast<int>(pa.outcome()), static_cast<int>(pb.outcome()));
 }
 
 }  // namespace

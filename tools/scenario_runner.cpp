@@ -95,8 +95,8 @@ void print_registries() {
   std::printf(
       "\nengine (accepted [engine] keys; fingerprint-neutral, never "
       "sweeps):\n"
-      "  %-24s lockstep trial lanes, 1..%zu (1 = scalar). cobra, bips,\n"
-      "  %-24s push, pull and push-pull batch; faulted jobs and other\n"
+      "  %-24s lockstep trial lanes, 1..%zu (1 = scalar). cobra, push,\n"
+      "  %-24s pull and push-pull batch; faulted jobs and other\n"
       "  %-24s processes fall back to scalar. Per-trial results are\n"
       "  %-24s bitwise-identical either way (--batch N overrides).\n",
       "batch", cobra::kMaxBatch, "", "", "");
@@ -328,8 +328,8 @@ int main(int argc, char** argv) {
         }
         const std::uint64_t telemetry_bytes =
             telemetry_buffer_bytes(telemetry, plan.threads, round_limit);
-        // Batched lockstep workspace (bit-planes, lane counters, lane-major
-        // cnt slices for BIPS); 0 when the job runs scalar — batch < 2,
+        // Batched lockstep workspace (bit-planes, lane counters, union
+        // lists); 0 when the job runs scalar — batch < 2,
         // process without a batched engine, or a [faults] section.
         const std::string* process_name = find_param(job.process, "name");
         const std::uint64_t batched_bytes =
