@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
     bips_options.max_rounds = 1u << 20;
     const std::size_t bips_runs = std::min<std::size_t>(runs, 100);
     for (std::size_t i = 0; i < bips_runs; ++i) {
-      Rng rng = Rng::for_trial(env.seed + 2, i);
-      const auto result = run_bips_infection(
-          g, static_cast<Vertex>(i % g.num_vertices()), bips_options, rng);
+      const auto source = static_cast<Vertex>(i % g.num_vertices());
+      const auto result = BipsProcess(g, source, bips_options)
+                              .run(Rng::for_trial(env.seed + 2, i), source);
       bips_full += result.completed;
       if (result.completed) {
         bips_rounds.push_back(static_cast<double>(result.rounds));

@@ -167,68 +167,18 @@ Throughput time_baseline(const Graph& g, std::uint64_t seed,
   return t;
 }
 
-Throughput time_engine_cobra(const Graph& g, std::uint64_t seed,
-                             std::size_t trials, std::size_t threads) {
-  TrialOptions options;
-  options.trials = trials;
-  options.base_seed = seed;
-  options.threads = threads;
-  CobraOptions cobra_options;
-  cobra_options.record_curves = false;
-  const std::size_t n = g.num_vertices();
-  Throughput t;
-  t.trials = trials;
-  Stopwatch watch;
-  const auto results = run_trials_collect<SpreadResult, CobraProcess>(
-      options, [&] { return CobraProcess(g, 0, cobra_options); },
-      [&](std::size_t i, Rng& rng, CobraProcess& process) {
-        return run_cobra_cover(process, static_cast<Vertex>(i % n), rng);
-      });
-  t.seconds = watch.seconds();
-  for (const auto& r : results) {
-    t.rounds += r.rounds;
-    t.visits += r.final_count;
-    t.failed += !r.completed;
-  }
-  return t;
-}
+using ProcessFactory = std::function<std::unique_ptr<Process>()>;
 
-Throughput time_engine_bips(const Graph& g, std::uint64_t seed,
-                            std::size_t trials, std::size_t threads) {
-  TrialOptions options;
-  options.trials = trials;
-  options.base_seed = seed;
-  options.threads = threads;
-  BipsOptions bips_options;
-  bips_options.record_curve = false;
-  const std::size_t n = g.num_vertices();
-  Throughput t;
-  t.trials = trials;
-  Stopwatch watch;
-  const auto results = run_trials_collect<SpreadResult, BipsProcess>(
-      options, [&] { return BipsProcess(g, 0, bips_options); },
-      [&](std::size_t i, Rng& rng, BipsProcess& process) {
-        return run_bips_infection(process, static_cast<Vertex>(i % n), rng);
-      });
-  t.seconds = watch.seconds();
-  for (const auto& r : results) {
-    t.rounds += r.rounds;
-    t.visits += r.final_count;
-    t.failed += !r.completed;
-  }
-  return t;
-}
-
-/// Batched lockstep leg: the same trials through run_process_trials_batched
-/// (B = 1 exercises the scalar fallback, so its throughput doubles as an
-/// overhead check). Serial — the point is lanes per pass, not threads.
+/// The same trials through run_process_trials (batch = 0) or the batched
+/// lockstep runner (batch >= 1; B = 1 exercises the scalar fallback, so
+/// its throughput doubles as an overhead check).
 Throughput time_runner(std::uint64_t seed, std::size_t trials,
-                       const std::function<std::unique_ptr<Process>()>& make,
+                       std::size_t threads, const ProcessFactory& make,
                        std::span<const Vertex> starts, std::size_t batch) {
   TrialOptions options;
   options.trials = trials;
   options.base_seed = seed;
-  options.threads = 0;
+  options.threads = threads;
   Throughput t;
   t.trials = trials;
   Stopwatch watch;
@@ -331,13 +281,23 @@ int main(int argc, char** argv) {
     std::printf("\n%s  (n=%zu, m=%zu)\n", g.name().c_str(), g.num_vertices(),
                 g.num_edges());
 
+    std::vector<Vertex> starts(g.num_vertices());
+    std::iota(starts.begin(), starts.end(), Vertex{0});
+
     std::printf(" COBRA cover (k=2, %zu trials):\n", cobra_trials);
     const auto cobra_base =
         time_baseline(g, seed, cobra_trials, [&](Vertex start, Rng& rng) {
           return baseline_cobra_cover(g, start, 2, kMaxRounds, rng);
         });
-    const auto cobra_engine = time_engine_cobra(g, seed, cobra_trials, 0);
-    const auto cobra_mt = time_engine_cobra(g, seed, cobra_trials, threads);
+    CobraOptions cobra_options;
+    cobra_options.record_curves = false;
+    const ProcessFactory make_cobra = [&]() -> std::unique_ptr<Process> {
+      return std::make_unique<CobraProcess>(g, 0, cobra_options);
+    };
+    const auto cobra_engine =
+        time_runner(seed, cobra_trials, 0, make_cobra, starts, 0);
+    const auto cobra_mt =
+        time_runner(seed, cobra_trials, threads, make_cobra, starts, 0);
     print_row("baseline", cobra_base);
     print_row("engine", cobra_engine);
     print_row("engine_mt", cobra_mt);
@@ -349,58 +309,47 @@ int main(int argc, char** argv) {
         time_baseline(g, seed, bips_trials, [&](Vertex source, Rng& rng) {
           return baseline_bips_infection(g, source, 2, kMaxRounds, rng);
         });
-    const auto bips_engine = time_engine_bips(g, seed, bips_trials, 0);
-    const auto bips_mt = time_engine_bips(g, seed, bips_trials, threads);
+    BipsOptions bips_options;
+    bips_options.record_curve = false;
+    const ProcessFactory make_bips = [&]() -> std::unique_ptr<Process> {
+      return std::make_unique<BipsProcess>(g, 0, bips_options);
+    };
+    const auto bips_engine =
+        time_runner(seed, bips_trials, 0, make_bips, starts, 0);
+    const auto bips_mt =
+        time_runner(seed, bips_trials, threads, make_bips, starts, 0);
     print_row("baseline", bips_base);
     print_row("engine", bips_engine);
     print_row("engine_mt", bips_mt);
     std::printf("  speedup: %.2fx scalar, %.2fx with dispatch\n",
                 speedup(bips_engine, bips_base), speedup(bips_mt, bips_base));
 
-    // Batched lockstep legs: same trials, serial, lanes doing the work.
-    std::vector<Vertex> starts(g.num_vertices());
-    std::iota(starts.begin(), starts.end(), Vertex{0});
-    CobraOptions batched_cobra_options;
-    batched_cobra_options.branching.k = 2;
-    batched_cobra_options.record_curves = false;
-    batched_cobra_options.max_rounds = kMaxRounds;
-    const auto make_cobra = [&]() -> std::unique_ptr<Process> {
-      return std::make_unique<CobraProcess>(g, 0, batched_cobra_options);
+    // Batched lockstep leg: same trials, serial, lanes doing the work.
+    // COBRA and BIPS have no lockstep engine (they would time the scalar
+    // fallback), so push-pull is the one batched leg.
+    PushPullOptions pp_options;
+    pp_options.record_curve = false;
+    pp_options.max_rounds = kMaxRounds;
+    const ProcessFactory make_pp = [&]() -> std::unique_ptr<Process> {
+      return std::make_unique<PushPullProcess>(g, pp_options);
     };
-    PushPullOptions batched_pp_options;
-    batched_pp_options.record_curve = false;
-    batched_pp_options.max_rounds = kMaxRounds;
-    const auto make_pp = [&]() -> std::unique_ptr<Process> {
-      return std::make_unique<PushPullProcess>(g, batched_pp_options);
-    };
-    struct BatchedLeg {
-      Throughput scalar;
-      std::vector<Throughput> legs;
-    };
-    const auto run_batched =
-        [&](const char* title,
-            const std::function<std::unique_ptr<Process>()>& make) {
-          std::printf(" %s batched (%zu trials, serial):\n", title,
-                      batched_trials);
-          BatchedLeg leg;
-          leg.scalar = time_runner(seed, batched_trials, make, starts, 0);
-          print_row("scalar", leg.scalar);
-          for (const std::size_t b : batches) {
-            leg.legs.push_back(
-                time_runner(seed, batched_trials, make, starts, b));
-            char label[16];
-            std::snprintf(label, sizeof label, "b%zu", b);
-            print_row(label, leg.legs.back());
-          }
-          std::printf("  batched speedup (visits/s vs scalar): %.2fx @1, "
-                      "%.2fx @8, %.2fx @32\n",
-                      visits_speedup(leg.legs[0], leg.scalar),
-                      visits_speedup(leg.legs[1], leg.scalar),
-                      visits_speedup(leg.legs[2], leg.scalar));
-          return leg;
-        };
-    const BatchedLeg cobra_batched = run_batched("COBRA (k=2)", make_cobra);
-    const BatchedLeg pp_batched = run_batched("push-pull", make_pp);
+    std::printf(" push-pull batched (%zu trials, serial):\n", batched_trials);
+    const Throughput pp_scalar =
+        time_runner(seed, batched_trials, 0, make_pp, starts, 0);
+    print_row("scalar", pp_scalar);
+    std::vector<Throughput> pp_legs;
+    for (const std::size_t b : batches) {
+      pp_legs.push_back(
+          time_runner(seed, batched_trials, 0, make_pp, starts, b));
+      char label[16];
+      std::snprintf(label, sizeof label, "b%zu", b);
+      print_row(label, pp_legs.back());
+    }
+    std::printf("  batched speedup (visits/s vs scalar): %.2fx @1, "
+                "%.2fx @8, %.2fx @32\n",
+                visits_speedup(pp_legs[0], pp_scalar),
+                visits_speedup(pp_legs[1], pp_scalar),
+                visits_speedup(pp_legs[2], pp_scalar));
 
     std::fprintf(out, "    {\"family\": \"%s\", \"graph\": \"%s\", ",
                  instance.family.c_str(), g.name().c_str());
@@ -423,26 +372,19 @@ int main(int argc, char** argv) {
                  "      \"speedup_scalar\": %.3f, \"speedup_mt\": %.3f\n"
                  "     },\n",
                  speedup(bips_engine, bips_base), speedup(bips_mt, bips_base));
-    const auto emit_batched = [&](const char* key,
-                                  const Throughput& scalar_ref,
-                                  const std::vector<Throughput>& legs) {
-      std::fprintf(out, "     \"%s\": {\n", key);
-      emit_throughput(out, "scalar", scalar_ref, 1);
-      for (std::size_t i = 0; i < legs.size(); ++i) {
-        char name[16];
-        std::snprintf(name, sizeof name, "b%zu", batches[i]);
-        emit_throughput(out, name, legs[i], 1);
-      }
-      std::fprintf(out,
-                   "      \"speedup_b1\": %.3f, \"speedup_b8\": %.3f, "
-                   "\"speedup_b32\": %.3f\n     }",
-                   visits_speedup(legs[0], scalar_ref),
-                   visits_speedup(legs[1], scalar_ref),
-                   visits_speedup(legs[2], scalar_ref));
-    };
-    emit_batched("cobra_batched", cobra_batched.scalar, cobra_batched.legs);
-    std::fprintf(out, ",\n");
-    emit_batched("push_pull_batched", pp_batched.scalar, pp_batched.legs);
+    std::fprintf(out, "     \"push_pull_batched\": {\n");
+    emit_throughput(out, "scalar", pp_scalar, 1);
+    for (std::size_t i = 0; i < pp_legs.size(); ++i) {
+      char name[16];
+      std::snprintf(name, sizeof name, "b%zu", batches[i]);
+      emit_throughput(out, name, pp_legs[i], 1);
+    }
+    std::fprintf(out,
+                 "      \"speedup_b1\": %.3f, \"speedup_b8\": %.3f, "
+                 "\"speedup_b32\": %.3f\n     }",
+                 visits_speedup(pp_legs[0], pp_scalar),
+                 visits_speedup(pp_legs[1], pp_scalar),
+                 visits_speedup(pp_legs[2], pp_scalar));
     std::fprintf(out, "}%s\n", idx + 1 < instances.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

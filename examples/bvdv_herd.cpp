@@ -38,11 +38,10 @@ int main(int argc, char** argv) {
 
   // One PI animal (vertex 0) introduced into an infection-free herd.
   std::printf("\n-- persistently infected (PI) animal introduced --\n");
-  Rng rng(1);
   BipsOptions options;
   options.branching = Branching::fixed(2);
   options.max_rounds = days;
-  const auto result = run_bips_infection(g, 0, options, rng);
+  const auto result = BipsProcess(g, 0, options).run(Rng(1), 0);
   if (result.completed) {
     std::printf("herd fully infected after %zu days\n", result.rounds);
   } else {
@@ -80,12 +79,11 @@ int main(int argc, char** argv) {
     std::vector<double> times;
     std::size_t failed = 0;
     for (std::size_t i = 0; i < 30; ++i) {
-      Rng trial_rng = Rng::for_trial(7 + k, i);
       BipsOptions opt;
       opt.branching = Branching::fixed(k);
       opt.max_rounds = 20000;
       opt.record_curve = false;
-      const auto run = run_bips_infection(g, 0, opt, trial_rng);
+      const auto run = BipsProcess(g, 0, opt).run(Rng::for_trial(7 + k, i), 0);
       if (run.completed) {
         times.push_back(static_cast<double>(run.rounds));
       } else {

@@ -39,10 +39,9 @@ int main(int argc, char** argv) {
   std::printf("gap 1-l    : %.6f\n", spectrum.gap);
 
   // 3. Run a COBRA cover from vertex 0 and print the frontier curve.
-  Rng rng(seed + 1);
   CobraOptions cobra_options;
   cobra_options.branching = Branching::fixed(k);
-  const auto cover = run_cobra_cover(g, 0, cobra_options, rng);
+  const auto cover = CobraProcess(g, 0, cobra_options).run(Rng(seed + 1), 0);
   std::printf("\nCOBRA (k=%u) cover time: %zu rounds (%s)\n", k, cover.rounds,
               cover.completed ? "covered" : "ABORTED");
   std::printf("total transmissions: %llu (%.2f per vertex)\n",
@@ -59,7 +58,8 @@ int main(int argc, char** argv) {
   // 4. Run the dual BIPS infection from the same vertex.
   BipsOptions bips_options;
   bips_options.branching = Branching::fixed(k);
-  const auto infection = run_bips_infection(g, 0, bips_options, rng);
+  const auto infection =
+      BipsProcess(g, 0, bips_options).run(Rng(seed + 2), 0);
   std::printf("\nBIPS (k=%u) infection time: %zu rounds (%s)\n", k,
               infection.rounds,
               infection.completed ? "fully infected" : "ABORTED");

@@ -357,37 +357,6 @@ void BipsProcess::step_faulty(Rng& rng) {
   ++round_;
 }
 
-namespace {
-
-SpreadResult run_to_full_infection(BipsProcess& process, Rng& rng) {
-  const BipsOptions& options = process.options();
-  SpreadResult result;
-  if (options.record_curve) result.curve.push_back(process.infected_count());
-  while (!process.fully_infected() && process.round() < options.max_rounds) {
-    process.step(rng);
-    if (options.record_curve) result.curve.push_back(process.infected_count());
-  }
-  result.completed = process.fully_infected();
-  result.rounds = process.round();
-  result.final_count = process.infected_count();
-  result.total_transmissions = process.total_probes();
-  result.peak_vertex_round_transmissions = process.peak_vertex_round_probes();
-  return result;
-}
-
-}  // namespace
-
-SpreadResult run_bips_infection(const Graph& g, Vertex source,
-                                BipsOptions options, Rng& rng) {
-  BipsProcess process(g, source, options);
-  return run_to_full_infection(process, rng);
-}
-
-SpreadResult run_bips_infection(BipsProcess& process, Vertex source, Rng& rng) {
-  process.reset(source);
-  return run_to_full_infection(process, rng);
-}
-
 bool bips_membership_after(const Graph& g, Vertex source, Vertex probe,
                            std::size_t t, BipsOptions options, Rng& rng) {
   options.record_curve = false;

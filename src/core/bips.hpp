@@ -59,6 +59,10 @@ struct BipsOptions {
   bool weighted = false;
 };
 
+/// Process::run goes until A_t = V or max_rounds: result.rounds is
+/// infec(source) when completed, curve[t] = |A_t|, and
+/// total_transmissions counts the neighbour probes the engine actually
+/// drew (see total_probes).
 class BipsProcess final : public Process {
  public:
   /// Starts with A_0 = {source}. Requires min degree >= 1 (every vertex
@@ -193,16 +197,6 @@ class BipsProcess final : public Process {
   std::uint64_t probes_total_ = 0;
   std::uint64_t probes_peak_vertex_ = 0;
 };
-
-/// Runs until A_t = V or max_rounds. result.rounds is infec(source) when
-/// completed; curve[t] = |A_t|. total_transmissions counts the neighbour
-/// probes the engine actually drew (see BipsProcess::total_probes).
-SpreadResult run_bips_infection(const Graph& g, Vertex source,
-                                BipsOptions options, Rng& rng);
-
-/// Workspace variant: resets `process` to {source} and runs it under
-/// process.options(); trial loops use one process per thread.
-SpreadResult run_bips_infection(BipsProcess& process, Vertex source, Rng& rng);
 
 /// Duality probe (right-hand side of Theorem 4): runs exactly t rounds and
 /// reports whether `probe` is in A_t. One Bernoulli sample of

@@ -318,38 +318,6 @@ void CobraProcess::step_faulty(Rng& rng) {
   round_ = next_round;
 }
 
-namespace {
-
-SpreadResult run_to_cover(CobraProcess& process, Rng& rng) {
-  const CobraOptions& options = process.options();
-  SpreadResult result;
-  if (options.record_curves) result.curve.push_back(process.visited_count());
-  while (!process.covered() && process.round() < options.max_rounds) {
-    process.step(rng);
-    if (options.record_curves) result.curve.push_back(process.visited_count());
-  }
-  result.completed = process.covered();
-  result.rounds = process.round();
-  result.final_count = process.visited_count();
-  result.total_transmissions = process.accounting().total();
-  result.peak_vertex_round_transmissions =
-      process.accounting().peak_vertex_round();
-  return result;
-}
-
-}  // namespace
-
-SpreadResult run_cobra_cover(const Graph& g, Vertex start, CobraOptions options,
-                             Rng& rng) {
-  CobraProcess process(g, start, options);
-  return run_to_cover(process, rng);
-}
-
-SpreadResult run_cobra_cover(CobraProcess& process, Vertex start, Rng& rng) {
-  process.reset(start);
-  return run_to_cover(process, rng);
-}
-
 std::optional<std::size_t> cobra_hitting_time(const Graph& g,
                                               std::span<const Vertex> starts,
                                               Vertex target,

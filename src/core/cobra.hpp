@@ -21,9 +21,10 @@
 //    the rho-draw costs one uniform per extra push, not one per vertex.
 //
 // The class exposes round-level stepping so examples can observe frontier
-// dynamics; run_cobra_cover / cobra_hitting_time wrap the common
-// measurements (cover time = min T with union_{t<=T} C_t = V, Theorem 1;
-// hitting time Hit_C(v), Theorem 4).
+// dynamics. Process::run measures the cover time (min T with
+// union_{t<=T} C_t = V, Theorem 1; result.curve[t] = distinct vertices
+// visited by end of round t); cobra_hitting_time measures Hit_C(v)
+// (Theorem 4).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,8 @@ enum class FrontierMode { kAuto, kSparse, kDense };
 
 struct CobraOptions {
   Branching branching = Branching::fixed(2);
-  /// Abort threshold for run_cobra_cover (the process itself never dies).
+  /// Round budget: done() once round() reaches it (the process itself
+  /// never dies).
   std::size_t max_rounds = 1u << 20;
   /// Record the per-round curve and the per-round message breakdown
   /// (small overhead; off for bulk Monte Carlo). Transmission totals and
@@ -196,16 +198,6 @@ class CobraProcess final : public Process {
   Stamp base_ = 1;
   Accounting accounting_;
 };
-
-/// Runs until covered or options.max_rounds; returns the uniform result
-/// (curve[t] = distinct vertices visited by end of round t).
-SpreadResult run_cobra_cover(const Graph& g, Vertex start, CobraOptions options,
-                             Rng& rng);
-
-/// Workspace variant: resets `process` to {start} and runs it to cover
-/// under process.options(). Trial loops use this with one process per
-/// thread to avoid per-trial construction.
-SpreadResult run_cobra_cover(CobraProcess& process, Vertex start, Rng& rng);
 
 /// Hit_C(v): rounds until `target` is in C_t, starting from C_0 = starts.
 /// nullopt if not hit within max_rounds. Hit is 0 if target is in starts.

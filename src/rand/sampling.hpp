@@ -28,12 +28,8 @@ class BernoulliSkipper {
       : p_(p),
         inv_log_q_(p > 0.0 && p < 1.0 ? 1.0 / std::log1p(-p) : 0.0) {}
 
-  /// Outcome of the next trial in the sequence. Templated on the
-  /// generator so the batched engine's per-lane streams (LaneRngRef in
-  /// sim/batched_detail.hpp) run the exact same skip algorithm — anything
-  /// with Rng's next_double() works.
-  template <typename R = Rng>
-  bool next(R& rng) noexcept {
+  /// Outcome of the next trial in the sequence.
+  bool next(Rng& rng) noexcept {
     if (p_ >= 1.0) return true;
     if (p_ <= 0.0) return false;
     if (!primed_) {
@@ -51,8 +47,7 @@ class BernoulliSkipper {
  private:
   /// Failures before the next success: floor(log(u) / log(1 - p)), u in
   /// (0, 1]. Saturates instead of overflowing for extreme draws.
-  template <typename R>
-  std::uint64_t draw_gap(R& rng) noexcept {
+  std::uint64_t draw_gap(Rng& rng) noexcept {
     const double u = 1.0 - rng.next_double();
     const double gap = std::floor(std::log(u) * inv_log_q_);
     if (!(gap < 9.0e18)) return ~0ULL;

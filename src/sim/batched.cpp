@@ -1,32 +1,141 @@
 // SPDX-License-Identifier: MIT
 //
 // Batched engines for the rumor-spreading protocols (push, pull,
-// push-pull) plus the factory and the dry-run workspace estimator. The
-// COBRA engine lives in batched_cobra.cpp; all four share the conventions
-// documented in batched.hpp: lane l of a block replays
-// Rng::for_trial(base, first + l) draw for draw, active sets are walked
-// in ascending vertex order, and per-lane results are bitwise-identical
-// to the scalar Process path.
+// push-pull) plus the factory and the dry-run workspace estimator. All
+// three share the conventions documented in batched.hpp: lane l of a
+// block replays Rng::for_trial(base, first + l) draw for draw, active
+// sets are walked in ascending vertex order, and per-lane results are
+// bitwise-identical to the scalar Process path.
 #include "sim/batched.hpp"
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "protocols/pull.hpp"
 #include "protocols/push.hpp"
 #include "protocols/push_pull.hpp"
-#include "sim/batched_detail.hpp"
+#include "rand/lane_rng.hpp"
 
 namespace cobra {
 namespace {
 
-using batched_detail::CsrView;
-using batched_detail::lane_mask;
-using batched_detail::LaneDraw;
-using batched_detail::LaneResults;
+/// Raw-pointer CSR view — the same width-adaptive access pattern the
+/// scalar engines use (see the matching lambda in cobra.cpp).
+struct CsrView {
+  const std::uint32_t* off32;
+  const std::uint64_t* off64;
+  bool wide;
+  const Vertex* adjacency;
+  int regular;
+
+  explicit CsrView(const Graph& g)
+      : off32(g.offsets32().data()),
+        off64(g.offsets64().data()),
+        wide(g.offsets_are_wide()),
+        adjacency(g.adjacency().data()),
+        regular(g.regularity()) {}
+
+  const Vertex* block(Vertex v, std::uint32_t& degree,
+                      std::size_t& begin) const noexcept {
+    if (regular >= 0) {
+      degree = static_cast<std::uint32_t>(regular);
+      begin = static_cast<std::size_t>(v) * degree;
+      return adjacency + begin;
+    }
+    begin = wide ? off64[v] : off32[v];
+    const std::size_t end = wide ? off64[v + 1] : off32[v + 1];
+    degree = static_cast<std::uint32_t>(end - begin);
+    return adjacency + begin;
+  }
+};
+
+/// Neighbour-index draw for one lane: the uniform Lemire draw, or the
+/// alias-table draw replicated from GraphAliasTables::draw_index — both
+/// bit-identical to the scalar sequence.
+struct LaneDraw {
+  const float* prob = nullptr;
+  const std::uint32_t* alias = nullptr;
+  bool weighted = false;
+
+  LaneDraw(const Graph& g, bool use_weighted) : weighted(use_weighted) {
+    if (use_weighted) {
+      const GraphAliasTables& tables = g.alias_tables();
+      prob = tables.prob().data();
+      alias = tables.alias().data();
+    }
+  }
+
+  std::uint32_t index(LaneRngs& rngs, std::size_t lane, std::size_t begin,
+                      std::uint32_t degree) const noexcept {
+    std::uint32_t i = rngs.next_below32(lane, degree);
+    if (weighted) {
+      const std::size_t slot = begin + i;
+      if (rngs.next_double(lane) >= prob[slot]) i = alias[slot];
+    }
+    return i;
+  }
+};
+
+/// Mask with lanes [0, count) set.
+std::uint64_t lane_mask(std::size_t count) noexcept {
+  return count >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << count) - 1);
+}
+
+/// Per-lane scalar accumulators + curve buffers shared by every engine.
+/// Allocated once at engine construction; reset per block without
+/// touching the heap (curve clear() keeps capacity).
+struct LaneResults {
+  std::uint64_t count[kMaxBatch];
+  std::uint64_t tx[kMaxBatch];
+  std::uint64_t peak[kMaxBatch];
+  std::size_t rounds[kMaxBatch];
+  bool completed[kMaxBatch];
+  std::vector<std::vector<std::size_t>> curves;
+
+  LaneResults(std::size_t batch, bool record_curve, std::size_t max_rounds) {
+    if (record_curve) {
+      curves.resize(batch);
+      const std::size_t hint = std::min(max_rounds + 1, std::size_t{1} << 16);
+      for (auto& c : curves) c.reserve(hint);
+    }
+  }
+
+  void reset_lane(std::size_t l, std::uint64_t initial_count) {
+    count[l] = initial_count;
+    tx[l] = 0;
+    peak[l] = 0;
+    rounds[l] = 0;
+    completed[l] = false;
+    if (!curves.empty()) {
+      curves[l].clear();
+      curves[l].push_back(static_cast<std::size_t>(initial_count));
+    }
+  }
+
+  /// Writes the lane's SpreadResult exactly as Process::result() would
+  /// (fault fields stay zero: the batched engines never attach faults).
+  void emit(std::size_t l, SpreadResult& out) const {
+    out = SpreadResult{};
+    out.completed = completed[l];
+    out.rounds = rounds[l];
+    out.final_count = static_cast<std::size_t>(count[l]);
+    if (!curves.empty()) out.curve = curves[l];
+    out.total_transmissions = tx[l];
+    out.peak_vertex_round_transmissions = peak[l];
+  }
+
+  std::size_t memory_bytes() const noexcept {
+    std::size_t bytes = 0;
+    for (const auto& c : curves) bytes += c.capacity() * sizeof(std::size_t);
+    return bytes;
+  }
+};
 
 void validate_single_start(const Graph& g, Vertex start, const char* proto) {
   if (start >= g.num_vertices()) {
@@ -451,9 +560,6 @@ std::unique_ptr<BatchedEngine> make_batched_engine(const Process& prototype,
   // Fault-aware rounds interleave fault-stream draws with process draws;
   // the batched replay does not model them — scalar fallback.
   if (prototype.fault_session() != nullptr) return nullptr;
-  if (const auto* p = dynamic_cast<const CobraProcess*>(&prototype)) {
-    return batched_detail::make_batched_cobra(*p, batch);
-  }
   if (const auto* p = dynamic_cast<const PushProcess*>(&prototype)) {
     return std::make_unique<BatchedPush>(p->graph(), p->options(), batch);
   }
@@ -471,10 +577,6 @@ std::uint64_t batched_workspace_estimate(std::string_view process_name,
   if (batch < 2 || batch > kMaxBatch) return 0;
   const std::uint64_t plane = n * 8;  // one uint64 bit-plane word per vertex
   const std::uint64_t list = n * 4;   // one Vertex per entry
-  if (process_name == "cobra") {
-    // cur/next/visited planes + two ascending union lists.
-    return 3 * plane + 2 * list;
-  }
   if (process_name == "push") {
     return 2 * plane + 2 * list;  // informed/fresh planes + union lists
   }

@@ -2,7 +2,7 @@
 //
 // Batched lockstep trial engine: runs up to B = 64 trials of one
 // (graph, process, options) configuration simultaneously over
-// structure-of-arrays state. Per-trial frontier/infection membership is
+// structure-of-arrays state. Per-trial informed-set membership is
 // packed as bit-planes keyed by vertex — one uint64 word per vertex, bit
 // l = lane l — so a single ascending pass over the active vertices
 // services all B trials, and every adjacency/CSR fetch is amortized
@@ -22,13 +22,14 @@
 // makes the campaign `[engine] batch=` key fingerprint-neutral: journals
 // and sinks interoperate byte-for-byte whatever the batch size.
 //
-// Supported processes: cobra, push, pull, push-pull — weighted and
-// fractional-branching variants included. Unsupported combinations
-// (other processes, any attached fault model, observer-recorded trials)
-// fall back to the scalar Process path; make_batched_engine returns
-// nullptr and callers keep the scalar loop. BIPS has no batched variant:
-// its lockstep engine measured 0.66-0.92x the scalar throughput at
-// B = 8 and 32, so a batched BIPS job runs the scalar loop.
+// Supported processes: push, pull, push-pull — weighted variants
+// included. Unsupported combinations (other processes, any attached
+// fault model, observer-recorded trials) fall back to the scalar Process
+// path; make_batched_engine returns nullptr and callers keep the scalar
+// loop. COBRA and BIPS have no batched variant: their lockstep engines
+// measured below the scalar throughput at B = 8 and 32 (COBRA
+// 0.58-0.88x, BIPS 0.66-0.92x), so their batched jobs run the scalar
+// loop.
 #pragma once
 
 #include <cstddef>

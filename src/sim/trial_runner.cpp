@@ -17,11 +17,24 @@ std::vector<SpreadResult> run_process_trials(
     const TrialOptions& options,
     const std::function<std::unique_ptr<Process>()>& make_process,
     std::span<const Vertex> starts) {
-  return run_trials_collect<SpreadResult, std::unique_ptr<Process>>(
-      options, make_process,
-      [starts](std::size_t i, Rng& rng, std::unique_ptr<Process>& process) {
-        return process->run(rng, starts[i % starts.size()]);
-      });
+  std::vector<SpreadResult> results(options.trials);
+  const auto run_trial = [&](std::size_t i, Process& process) {
+    results[i] = process.run(Rng::for_trial(options.base_seed, i),
+                             starts[i % starts.size()]);
+  };
+  if (options.threads == 0) {
+    const std::unique_ptr<Process> process = make_process();
+    for (std::size_t i = 0; i < options.trials; ++i) run_trial(i, *process);
+    return results;
+  }
+  ThreadPool pool(options.threads);
+  pool.parallel_for_stateful(options.trials, [&]() {
+    // One workspace per participating thread (shared_ptr keeps the body
+    // copyable for std::function).
+    auto process = std::shared_ptr<Process>(make_process());
+    return [&, process](std::size_t i) { run_trial(i, *process); };
+  });
+  return results;
 }
 
 std::vector<SpreadResult> run_process_trials_batched(

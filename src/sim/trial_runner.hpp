@@ -50,44 +50,14 @@ std::vector<R> run_trials_collect(
   return results;
 }
 
-/// Workspace variant: every participating thread calls make_workspace()
-/// once (it must be thread-safe) and hands the same workspace to each of
-/// its trials, so per-trial state — typically a process with O(n) arrays —
-/// is constructed once per thread, not once per trial. Because each trial
-/// still draws from Rng::for_trial(base_seed, i) and workspaces are
-/// reset-on-use, results are identical to the workspace-free variant.
-template <typename R, typename Workspace>
-std::vector<R> run_trials_collect(
-    const TrialOptions& options,
-    const std::function<Workspace()>& make_workspace,
-    const std::function<R(std::size_t, Rng&, Workspace&)>& fn) {
-  std::vector<R> results(options.trials);
-  if (options.threads == 0) {
-    Workspace workspace = make_workspace();
-    for (std::size_t i = 0; i < options.trials; ++i) {
-      Rng rng = Rng::for_trial(options.base_seed, i);
-      results[i] = fn(i, rng, workspace);
-    }
-    return results;
-  }
-  ThreadPool pool(options.threads);
-  pool.parallel_for_stateful(options.trials, [&]() {
-    // shared_ptr keeps the per-thread body copyable for std::function.
-    auto workspace = std::make_shared<Workspace>(make_workspace());
-    return [&, workspace](std::size_t i) {
-      Rng rng = Rng::for_trial(options.base_seed, i);
-      results[i] = fn(i, rng, *workspace);
-    };
-  });
-  return results;
-}
-
 /// Unified-process variant: every participating thread builds one Process
 /// workspace via make_process (typically a cobra::make_process factory
-/// call) and trial i runs it as process->run(Rng::for_trial(base_seed, i),
-/// starts[i % starts.size()]). One workspace per thread + reset-on-use
-/// keeps per-trial heap allocation at zero for every registered process.
-/// `starts` must stay alive for the duration of the call.
+/// call; it must be thread-safe) and trial i runs it as
+/// process->run(Rng::for_trial(base_seed, i), starts[i % starts.size()]).
+/// One workspace per thread + reset-on-use keeps per-trial heap
+/// allocation at zero for every registered process, and results are
+/// identical to constructing a fresh process per trial. `starts` must
+/// stay alive for the duration of the call.
 std::vector<SpreadResult> run_process_trials(
     const TrialOptions& options,
     const std::function<std::unique_ptr<Process>()>& make_process,

@@ -6,8 +6,8 @@
 // draw order, whole-struct equality. Exercised here for every supported
 // process across graph families x seeds x batch sizes, plus the
 // thread-count independence of run_process_trials_batched, variant
-// options (fractional branching, weighted draws, curves off), the scalar
-// fallback conditions, and the workspace estimator.
+// options (weighted draws, curves off), the scalar fallback conditions
+// (COBRA and BIPS included), and the workspace estimator.
 #include <memory>
 #include <vector>
 
@@ -95,26 +95,6 @@ void expect_bitwise_parity(
   }
 }
 
-TEST(BatchedParity, Cobra) {
-  expect_bitwise_parity([](const Graph& g) {
-    return [&g] {
-      CobraOptions options;
-      options.branching.k = 2;
-      return std::make_unique<CobraProcess>(g, 0, options);
-    };
-  });
-}
-
-TEST(BatchedParity, CobraFractionalBranching) {
-  expect_bitwise_parity([](const Graph& g) {
-    return [&g] {
-      CobraOptions options;
-      options.branching = Branching::fractional(0.4);
-      return std::make_unique<CobraProcess>(g, 0, options);
-    };
-  });
-}
-
 TEST(BatchedParity, Push) {
   expect_bitwise_parity([](const Graph& g) {
     return [&g] { return std::make_unique<PushProcess>(g, PushOptions{}); };
@@ -140,12 +120,6 @@ TEST(BatchedParity, WeightedDraws) {
   gen::generate_weights(g, gen::WeightKind::kExp, 41);
   const std::vector<Vertex> starts = {0, 3};
   const auto factories = std::vector<ProcessFactory>{
-      [&g] {
-        CobraOptions options;
-        options.branching.k = 2;
-        options.weighted = true;
-        return std::make_unique<CobraProcess>(g, 0, options);
-      },
       [&g] {
         PushOptions options;
         options.weighted = true;
@@ -174,10 +148,9 @@ TEST(BatchedParity, CurvesOffMatchesScalar) {
   const Graph g = gen::connected_random_regular(128, 6, rng);
   const std::vector<Vertex> starts = {0};
   const ProcessFactory make_process = [&g] {
-    CobraOptions options;
-    options.branching.k = 2;
-    options.record_curves = false;
-    return std::make_unique<CobraProcess>(g, 0, options);
+    PushPullOptions options;
+    options.record_curve = false;
+    return std::make_unique<PushPullProcess>(g, options);
   };
   const auto scalar = scalar_trials(make_process, starts, 3, 16);
   const auto batched = batched_trials(make_process, starts, 3, 16, 8);
@@ -190,9 +163,7 @@ TEST(BatchedRunner, ThreadCountIndependent) {
   const Graph g = gen::connected_random_regular(256, 8, rng);
   const std::vector<Vertex> starts = {0, 1, 2};
   const ProcessFactory make_process = [&g] {
-    CobraOptions options;
-    options.branching.k = 2;
-    return std::make_unique<CobraProcess>(g, 0, options);
+    return std::make_unique<PushProcess>(g, PushOptions{});
   };
   TrialOptions options;
   options.trials = 50;
@@ -221,12 +192,13 @@ TEST(BatchedRunner, FallsBackWhenUnsupported) {
   TrialOptions options;
   options.trials = 9;
   options.base_seed = 77;
-  // batch = 1 has no batched engine, nor has BIPS at any batch; the runner
-  // must produce the scalar results through the fallback path.
+  // batch = 1 has no batched engine, nor have COBRA and BIPS at any
+  // batch; the runner must produce the scalar results through the
+  // fallback path.
   const struct {
     const ProcessFactory* make_process;
     std::size_t batch;
-  } cases[] = {{&make_cobra, 1}, {&make_bips, 8}};
+  } cases[] = {{&make_cobra, 1}, {&make_cobra, 8}, {&make_bips, 8}};
   for (const auto& c : cases) {
     const auto scalar = run_process_trials(options, *c.make_process, starts);
     const auto fallback =
@@ -238,12 +210,14 @@ TEST(BatchedRunner, FallsBackWhenUnsupported) {
 TEST(BatchedFactory, RejectsUnsupportedConfigurations) {
   Rng rng(37);
   const Graph g = gen::connected_random_regular(64, 4, rng);
-  const CobraProcess process(g, 0, CobraOptions{});
+  const PushProcess process(g, PushOptions{});
   EXPECT_EQ(make_batched_engine(process, 0), nullptr);
   EXPECT_EQ(make_batched_engine(process, 1), nullptr);
   EXPECT_EQ(make_batched_engine(process, kMaxBatch + 1), nullptr);
   EXPECT_NE(make_batched_engine(process, kMaxBatch), nullptr);
-  // BIPS has no batched variant at any width.
+  // COBRA and BIPS have no batched variant at any width.
+  const CobraProcess cobra(g, 0, CobraOptions{});
+  EXPECT_EQ(make_batched_engine(cobra, 8), nullptr);
   const BipsProcess bips(g, 0, BipsOptions{});
   EXPECT_EQ(make_batched_engine(bips, 8), nullptr);
 
@@ -252,30 +226,30 @@ TEST(BatchedFactory, RejectsUnsupportedConfigurations) {
   FaultOptions fault_options;
   fault_options.drop = 0.1;
   const FaultModel model(g.num_vertices(), fault_options);
-  CobraProcess faulty(g, 0, CobraOptions{});
+  PushProcess faulty(g, PushOptions{});
   faulty.set_fault_model(&model);
   EXPECT_EQ(make_batched_engine(faulty, 8), nullptr);
 }
 
 TEST(BatchedFactory, WorkspaceEstimateMatchesSupport) {
-  EXPECT_GT(batched_workspace_estimate("cobra", 1024, 8), 0u);
   EXPECT_GT(batched_workspace_estimate("push", 1024, 8), 0u);
   EXPECT_GT(batched_workspace_estimate("pull", 1024, 8), 0u);
   EXPECT_GT(batched_workspace_estimate("push-pull", 1024, 8), 0u);
   EXPECT_EQ(batched_workspace_estimate("flood", 1024, 8), 0u);
   EXPECT_EQ(batched_workspace_estimate("bips", 1024, 8), 0u);
-  EXPECT_EQ(batched_workspace_estimate("cobra", 1024, 1), 0u);
+  EXPECT_EQ(batched_workspace_estimate("cobra", 1024, 8), 0u);
+  EXPECT_EQ(batched_workspace_estimate("push", 1024, 1), 0u);
 }
 
 TEST(BatchedEngineApi, ReportsWorkspaceBytes) {
   Rng rng(41);
   const Graph g = gen::connected_random_regular(256, 6, rng);
-  const CobraProcess process(g, 0, CobraOptions{});
+  const PushProcess process(g, PushOptions{});
   const auto engine = make_batched_engine(process, 16);
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(engine->batch(), 16u);
-  // Three bit-planes + two union lists over 256 vertices at minimum.
-  EXPECT_GE(engine->workspace_bytes(), 256u * (3 * 8 + 2 * 4));
+  // Two bit-planes + two union lists over 256 vertices at minimum.
+  EXPECT_GE(engine->workspace_bytes(), 256u * (2 * 8 + 2 * 4));
 }
 
 }  // namespace

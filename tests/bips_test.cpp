@@ -68,7 +68,7 @@ TEST(Bips, InfectsCompleteGraphQuickly) {
   Rng rng(3);
   BipsOptions options;
   options.max_rounds = 500;
-  const auto result = run_bips_infection(g, 0, options, rng);
+  const auto result = BipsProcess(g, 0, options).run(rng, 0);
   EXPECT_TRUE(result.completed);
   EXPECT_LE(result.rounds, 100u);
   EXPECT_EQ(result.final_count, 256u);
@@ -80,7 +80,7 @@ TEST(Bips, InfectsExpanderInLogarithmicRounds) {
   Rng rng(5);
   BipsOptions options;
   options.max_rounds = 2000;
-  const auto result = run_bips_infection(g, 0, options, rng);
+  const auto result = BipsProcess(g, 0, options).run(rng, 0);
   EXPECT_TRUE(result.completed);
   // 10 * log2(1024) = 100 is a generous expander budget.
   EXPECT_LE(result.rounds, 100u);
@@ -90,7 +90,7 @@ TEST(Bips, CurveStartsAtOneEndsAtN) {
   const Graph g = gen::complete(64);
   Rng rng(6);
   BipsOptions options;
-  const auto result = run_bips_infection(g, 5, options, rng);
+  const auto result = BipsProcess(g, 5, options).run(rng, 5);
   ASSERT_TRUE(result.completed);
   EXPECT_EQ(result.curve.front(), 1u);
   EXPECT_EQ(result.curve.back(), 64u);
@@ -101,7 +101,7 @@ TEST(Bips, MaxRoundsAborts) {
   Rng rng(7);
   BipsOptions options;
   options.max_rounds = 3;
-  const auto result = run_bips_infection(g, 0, options, rng);
+  const auto result = BipsProcess(g, 0, options).run(rng, 0);
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.rounds, 3u);
 }
@@ -118,8 +118,8 @@ TEST(Bips, DeterministicUnderSeed) {
   BipsOptions options;
   Rng a(99);
   Rng b(99);
-  const auto ra = run_bips_infection(g, 0, options, a);
-  const auto rb = run_bips_infection(g, 0, options, b);
+  const auto ra = BipsProcess(g, 0, options).run(a, 0);
+  const auto rb = BipsProcess(g, 0, options).run(b, 0);
   EXPECT_EQ(ra.rounds, rb.rounds);
   EXPECT_EQ(ra.curve, rb.curve);
 }
@@ -130,7 +130,7 @@ TEST(Bips, FractionalBranchingInfects) {
   BipsOptions options;
   options.branching = Branching::fractional(0.5);
   options.max_rounds = 2000;
-  const auto result = run_bips_infection(g, 0, options, rng);
+  const auto result = BipsProcess(g, 0, options).run(rng, 0);
   EXPECT_TRUE(result.completed);
 }
 

@@ -136,7 +136,7 @@ TEST(Cobra, CoversCompleteGraphInLogRounds) {
   Rng rng(6);
   CobraOptions options;
   options.max_rounds = 200;
-  const auto result = run_cobra_cover(g, 0, options, rng);
+  const auto result = CobraProcess(g, 0, options).run(rng, 0);
   EXPECT_TRUE(result.completed);
   // log2(256) = 8 is a hard lower bound; typical completion ~ 12-20.
   EXPECT_GE(result.rounds, 8u);
@@ -147,7 +147,7 @@ TEST(Cobra, CoverCurveIsMonotoneAndEndsAtN) {
   const Graph g = gen::torus({4, 4});
   Rng rng(7);
   CobraOptions options;
-  const auto result = run_cobra_cover(g, 3, options, rng);
+  const auto result = CobraProcess(g, 3, options).run(rng, 3);
   ASSERT_TRUE(result.completed);
   ASSERT_FALSE(result.curve.empty());
   EXPECT_EQ(result.curve.front(), 1u);
@@ -162,7 +162,7 @@ TEST(Cobra, MaxRoundsAborts) {
   Rng rng(8);
   CobraOptions options;
   options.max_rounds = 3;  // cycle needs ~n/2 rounds; 3 cannot cover
-  const auto result = run_cobra_cover(g, 0, options, rng);
+  const auto result = CobraProcess(g, 0, options).run(rng, 0);
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.rounds, 3u);
   EXPECT_LT(result.final_count, 1000u);
@@ -265,8 +265,8 @@ TEST(Cobra, DeterministicUnderSeed) {
   CobraOptions options;
   Rng a(99);
   Rng b(99);
-  const auto ra = run_cobra_cover(g, 0, options, a);
-  const auto rb = run_cobra_cover(g, 0, options, b);
+  const auto ra = CobraProcess(g, 0, options).run(a, 0);
+  const auto rb = CobraProcess(g, 0, options).run(b, 0);
   EXPECT_EQ(ra.rounds, rb.rounds);
   EXPECT_EQ(ra.curve, rb.curve);
   EXPECT_EQ(ra.total_transmissions, rb.total_transmissions);
@@ -283,8 +283,8 @@ TEST(Cobra, K4CoversFasterThanK2OnAverage) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng r2(seed);
     Rng r4(seed + 1000);
-    total2 += static_cast<double>(run_cobra_cover(g, 0, k2, r2).rounds);
-    total4 += static_cast<double>(run_cobra_cover(g, 0, k4, r4).rounds);
+    total2 += static_cast<double>(CobraProcess(g, 0, k2).run(r2, 0).rounds);
+    total4 += static_cast<double>(CobraProcess(g, 0, k4).run(r4, 0).rounds);
   }
   EXPECT_LT(total4, total2);
 }

@@ -6,6 +6,8 @@
 // fast path must be uniform; geometric-skipping Bernoulli must match the
 // per-trial law.
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -26,29 +28,30 @@ Graph test_expander(std::size_t n) {
   return gen::connected_random_regular(n, 8, graph_rng);
 }
 
+std::vector<Vertex> all_vertices(const Graph& g) {
+  std::vector<Vertex> starts(g.num_vertices());
+  std::iota(starts.begin(), starts.end(), Vertex{0});
+  return starts;
+}
+
 std::vector<SpreadResult> cobra_trials(const Graph& g, std::size_t threads,
                                        CobraOptions options) {
   TrialOptions trials;
   trials.trials = 48;
   trials.threads = threads;
-  const std::size_t n = g.num_vertices();
-  return run_trials_collect<SpreadResult, CobraProcess>(
-      trials, [&] { return CobraProcess(g, 0, options); },
-      [&](std::size_t i, Rng& rng, CobraProcess& process) {
-        return run_cobra_cover(process, static_cast<Vertex>(i % n), rng);
-      });
+  return run_process_trials(
+      trials, [&] { return std::make_unique<CobraProcess>(g, 0, options); },
+      all_vertices(g));
 }
 
 std::vector<SpreadResult> bips_trials(const Graph& g, std::size_t threads) {
   TrialOptions trials;
   trials.trials = 48;
   trials.threads = threads;
-  const std::size_t n = g.num_vertices();
-  return run_trials_collect<SpreadResult, BipsProcess>(
-      trials, [&] { return BipsProcess(g, 0, BipsOptions{}); },
-      [&](std::size_t i, Rng& rng, BipsProcess& process) {
-        return run_bips_infection(process, static_cast<Vertex>(i % n), rng);
-      });
+  return run_process_trials(
+      trials,
+      [&] { return std::make_unique<BipsProcess>(g, 0, BipsOptions{}); },
+      all_vertices(g));
 }
 
 TEST(EngineDeterminism, CobraIdenticalAcrossThreadCounts) {
@@ -75,8 +78,8 @@ TEST(EngineDeterminism, WorkspaceReuseMatchesFreshConstruction) {
   trials.trials = 32;
   const auto fresh = run_trials_collect<SpreadResult>(
       trials, [&](std::size_t i, Rng& rng) {
-        return run_cobra_cover(g, static_cast<Vertex>(i % g.num_vertices()),
-                               CobraOptions{}, rng);
+        const auto start = static_cast<Vertex>(i % g.num_vertices());
+        return CobraProcess(g, start, CobraOptions{}).run(rng, start);
       });
   const auto reused = cobra_trials(g, 0, {});
   ASSERT_EQ(fresh.size(), 32u);  // prefix of the 48 reused trials
@@ -89,11 +92,10 @@ TEST(EngineDeterminism, BipsResetMatchesFreshConstruction) {
   const Graph g = test_expander(512);
   BipsProcess process(g, 0, BipsOptions{});
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    Rng fresh_rng(seed);
-    Rng reused_rng(seed);
     const auto start = static_cast<Vertex>(seed * 37 % g.num_vertices());
-    const auto fresh = run_bips_infection(g, start, BipsOptions{}, fresh_rng);
-    const auto reused = run_bips_infection(process, start, reused_rng);
+    const auto fresh =
+        BipsProcess(g, start, BipsOptions{}).run(Rng(seed), start);
+    const auto reused = process.run(Rng(seed), start);
     EXPECT_EQ(fresh, reused) << "seed " << seed;
   }
 }
@@ -139,10 +141,8 @@ TEST(EngineDeterminism, CobraSparseDenseAgreeUnderFractionalBranching) {
   sparse.frontier_mode = FrontierMode::kSparse;
   CobraOptions dense = sparse;
   dense.frontier_mode = FrontierMode::kDense;
-  Rng rng_sparse(5);
-  Rng rng_dense(5);
-  const auto rs = run_cobra_cover(g, 3, sparse, rng_sparse);
-  const auto rd = run_cobra_cover(g, 3, dense, rng_dense);
+  const auto rs = CobraProcess(g, 3, sparse).run(Rng(5), 3);
+  const auto rd = CobraProcess(g, 3, dense).run(Rng(5), 3);
   EXPECT_EQ(rs, rd);
 }
 
@@ -169,16 +169,14 @@ TEST(CobraReset, ReplaysIdenticallyAndRewindsState) {
   const Graph g = test_expander(512);
   CobraOptions options;
   CobraProcess process(g, 0, options);
-  Rng rng_a(3);
-  const auto first = run_cobra_cover(process, 11, rng_a);
+  const auto first = process.run(Rng(3), 11);
   EXPECT_TRUE(process.covered());
   process.reset(Vertex{11});
   EXPECT_EQ(process.round(), 0u);
   EXPECT_EQ(process.visited_count(), 1u);
   EXPECT_FALSE(process.covered());
   EXPECT_TRUE(process.has_visited(11));
-  Rng rng_b(3);
-  const auto second = run_cobra_cover(process, 11, rng_b);
+  const auto second = process.run(Rng(3), 11);
   EXPECT_EQ(first, second);
 }
 
@@ -200,9 +198,7 @@ TEST(BipsAccounting, CountsActualProbes) {
 
 TEST(BipsAccounting, FullInfectionReportsDrawnProbes) {
   const Graph g = gen::complete(128);
-  Rng rng(4);
-  BipsOptions options;
-  const auto result = run_bips_infection(g, 0, options, rng);
+  const auto result = BipsProcess(g, 0, BipsOptions{}).run(Rng(4), 0);
   ASSERT_TRUE(result.completed);
   EXPECT_GT(result.total_transmissions, 0u);
   // k = 2 fixed branching: no vertex can draw more than 2 in a round, and

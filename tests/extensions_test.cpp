@@ -278,9 +278,9 @@ TEST(KsTest, CoverTimesAreStartInvariantOnTransitiveGraph) {
     Rng r1 = Rng::for_trial(50, i);
     Rng r2 = Rng::for_trial(60, i);
     from0.push_back(
-        static_cast<double>(run_cobra_cover(g, 0, options, r1).rounds));
+        static_cast<double>(CobraProcess(g, 0, options).run(r1, 0).rounds));
     from17.push_back(
-        static_cast<double>(run_cobra_cover(g, 17, options, r2).rounds));
+        static_cast<double>(CobraProcess(g, 17, options).run(r2, 17).rounds));
   }
   EXPECT_GT(ks_two_sample(from0, from17).p_value, 1e-4);
 }

@@ -177,7 +177,7 @@ TEST(ExactCover, MatchesMonteCarlo) {
     options.record_curves = false;
     for (std::size_t i = 0; i < 40000; ++i) {
       Rng rng = Rng::for_trial(0xC0FE, i);
-      const auto result = run_cobra_cover(g, 0, options, rng);
+      const auto result = CobraProcess(g, 0, options).run(rng, 0);
       mc.add(static_cast<double>(result.rounds));
     }
     const double stderr5 =

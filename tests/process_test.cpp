@@ -2,8 +2,7 @@
 //
 // Unified Process API tests: (a) golden digests of every SpreadResult
 // field for each steppable protocol under fixed seeds across several
-// graph families, plus COBRA/BIPS factory parity with their engine
-// wrappers, (b) observer-captured curves are deterministic and equal to
+// graph families, (b) observer-captured curves are deterministic and equal to
 // SpreadResult::curve, (c) factory metadata and error behaviour, and
 // (d) trial-runner integration (thread-count independence).
 #include <gtest/gtest.h>
@@ -15,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/bips.hpp"
-#include "core/cobra.hpp"
 #include "core/process.hpp"
 #include "core/process_factory.hpp"
 #include "graph/generators.hpp"
@@ -77,10 +74,28 @@ TEST(ProcessGolden, SpreadDigestsArePinned) {
   // Generated from the one-shot reference functions these processes
   // replaced, which they matched draw for draw. The branching-walk and
   // SIS one-shot results carried fewer fields: those fields were checked
-  // equal and the full process result pinned. Flood never draws, so its
-  // seeds agree. A changed digest changes every campaign sink for that
-  // process and must be a deliberate edit here.
+  // equal and the full process result pinned. The cobra and bips rows
+  // come from the former cover/infection loops, which equalled the
+  // process result field for field. Flood never draws, so its seeds
+  // agree. A changed digest changes every campaign sink for that process
+  // and must be a deliberate edit here.
   const std::vector<GoldenRow> golden = {
+      {"cobra", {{"k", "2"}}, 0,
+       {0x83dab9d69239f867ull, 0xf776e4436d378d17ull, 0x7e171a93fa42091cull,
+        0x1aa23c666d60da1full, 0xd401c18b5b2804a7ull, 0x691b0af467885485ull,
+        0x1f6075732a319c2bull, 0xd82fe20a7d1fb16full, 0xe5da4b4c2f8c78f6ull}},
+      {"cobra", {{"k", "3"}}, 0,
+       {0x4e53d5f6fb419761ull, 0xf4ca5216a5779ca0ull, 0x5a28cc67d8b4e451ull,
+        0x7103caa624f0002bull, 0x06b20a550133d7cbull, 0x495ba322826218aeull,
+        0x6369ae1730fee69cull, 0x3f033c07e78a001bull, 0x836d078bb547c08bull}},
+      {"cobra", {{"rho", "0.5"}}, 0,
+       {0x60cdee2008a8220eull, 0x296f21166bfecc6cull, 0x2ff67b6a86243361ull,
+        0xee243a180f1c00eaull, 0x533d12d74053a194ull, 0xbc4c087104780195ull,
+        0x38126b4706965d05ull, 0x221d5434d7c7233bull, 0xaea0ba09e626bc9full}},
+      {"bips", {}, 0,
+       {0xe4747c6e826d019full, 0x419e9fe3eee00235ull, 0xa98b4df0b41e8b5dull,
+        0xa8bc70561572d432ull, 0x721f7d9782a5fbb1ull, 0x1f56db7d58dfb642ull,
+        0xc707d35982b10669ull, 0x4c046e040805cb2dull, 0x557ff9c7f0eb560bull}},
       {"push", {}, 0,
        {0x64b9bae9f9a5765eull, 0xcf07c7e735dc756dull, 0x8a911b2673f371e1ull,
         0xa3e30893e6789b78ull, 0xadd6e3c44ea028faull, 0xe58f3bf88fc3c3b9ull,
@@ -120,30 +135,6 @@ TEST(ProcessGolden, SpreadDigestsArePinned) {
             << row.process << " on " << graphs[gi].name()
             << " seed=" << kSeeds[si];
       }
-    }
-  }
-}
-
-TEST(ProcessParity, CobraFactoryMatchesEngineWrapper) {
-  for (const Graph& g : parity_graphs()) {
-    for (const std::uint64_t seed : kSeeds) {
-      Rng legacy_rng(seed);
-      const SpreadResult expected =
-          run_cobra_cover(g, 0, CobraOptions{}, legacy_rng);
-      const auto process = make_process(g, "cobra", {{"k", "2"}});
-      EXPECT_EQ(process->run(Rng(seed), 0), expected) << g.name();
-    }
-  }
-}
-
-TEST(ProcessParity, BipsFactoryMatchesEngineWrapper) {
-  for (const Graph& g : parity_graphs()) {
-    for (const std::uint64_t seed : kSeeds) {
-      Rng legacy_rng(seed);
-      const SpreadResult expected =
-          run_bips_infection(g, 0, BipsOptions{}, legacy_rng);
-      const auto process = make_process(g, "bips", {});
-      EXPECT_EQ(process->run(Rng(seed), 0), expected) << g.name();
     }
   }
 }

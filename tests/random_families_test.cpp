@@ -215,7 +215,7 @@ TEST(NewFamilies, CobraCoversGiantComponentOfRgg) {
   Rng process_rng(21);
   CobraOptions options;
   options.max_rounds = 1u << 18;
-  const auto result = run_cobra_cover(giant, 0, options, process_rng);
+  const auto result = CobraProcess(giant, 0, options).run(process_rng, 0);
   EXPECT_TRUE(result.completed);
 }
 
@@ -225,7 +225,7 @@ TEST(NewFamilies, CobraCoversScaleFreeFast) {
   Rng process_rng(23);
   CobraOptions options;
   options.max_rounds = 1u << 16;
-  const auto result = run_cobra_cover(g, 0, options, process_rng);
+  const auto result = CobraProcess(g, 0, options).run(process_rng, 0);
   EXPECT_TRUE(result.completed);
   // Hubs accelerate spreading; generous log-ish budget.
   EXPECT_LE(result.rounds, 200u);

@@ -345,8 +345,23 @@ TEST(Campaign, KilledAndResumedOutputIsByteIdentical) {
 // ---- batched engine ([engine] batch) ----
 
 TEST(Campaign, BatchedEngineIsFingerprintNeutralAndByteIdentical) {
-  const auto scalar_spec = ScenarioSpec::parse_string(kTinySpec);
-  auto batched_spec = ScenarioSpec::parse_string(kTinySpec);
+  // push-pull has a lockstep engine; cobra would take the scalar fallback.
+  constexpr const char* kPushPullSpec = R"(
+[campaign]
+name = tiny
+trials = 4
+base_seed = 99
+seeds = 0..1
+
+[graph]
+family = cycle
+n = 32,64
+
+[process]
+name = push-pull
+)";
+  const auto scalar_spec = ScenarioSpec::parse_string(kPushPullSpec);
+  auto batched_spec = ScenarioSpec::parse_string(kPushPullSpec);
   batched_spec.set("engine", "batch", "8");
   const auto scalar_plan = plan_campaign(scalar_spec);
   const auto batched_plan = plan_campaign(batched_spec);
@@ -390,9 +405,9 @@ TEST(Campaign, BatchedEngineIsFingerprintNeutralAndByteIdentical) {
 }
 
 TEST(Campaign, BatchedEngineFallsBackPerJob) {
-  // flood and bips have no batched engine and the faulted axis forces the
-  // scalar path for every process — all must degrade silently and
-  // identically.
+  // flood, bips and cobra have no batched engine and the faulted axis
+  // forces the scalar path for every process — all must degrade silently
+  // and identically.
   constexpr const char* kSweep = R"(
 [campaign]
 name = engines
@@ -404,7 +419,7 @@ family = cycle
 n = 48
 
 [process]
-name = push, flood, bips
+name = push, flood, bips, cobra
 
 [faults]
 drop = 0, 0.2

@@ -95,11 +95,12 @@ void print_registries() {
   std::printf(
       "\nengine (accepted [engine] keys; fingerprint-neutral, never "
       "sweeps):\n"
-      "  %-24s lockstep trial lanes, 1..%zu (1 = scalar). cobra, push,\n"
-      "  %-24s pull and push-pull batch; faulted jobs and other\n"
-      "  %-24s processes fall back to scalar. Per-trial results are\n"
-      "  %-24s bitwise-identical either way (--batch N overrides).\n",
-      "batch", cobra::kMaxBatch, "", "", "");
+      "  %-24s lockstep trial lanes, 1..%zu (1 = scalar). push, pull\n"
+      "  %-24s and push-pull batch; faulted jobs and other processes\n"
+      "  %-24s (cobra and bips included) fall back to scalar. Per-trial\n"
+      "  %-24s results are bitwise-identical either way (--batch N\n"
+      "  %-24s overrides).\n",
+      "batch", cobra::kMaxBatch, "", "", "", "");
 }
 
 /// Splits "host:port"; returns false on a malformed value.
