@@ -2,17 +2,17 @@
 //
 // micro_graphgen — graph substrate benchmark emitting BENCH_graphgen.json.
 //
-// Measures, per family and size, the legacy serial construction path
-// (pre-refactor sampling loops + sort-based CSR assembly, kept in-tree as
-// the *_serial parity oracles) against the parallel substrate (chunked
-// generation + bucketized two-pass count/scatter assembly), plus the
-// assembly stage in isolation on the same edge multiset in generator
-// emission order. Also reports bytes/vertex before (fixed 8-byte offsets)
-// and after (width-adaptive offsets), and cross-checks that 1-thread and
-// T-thread assemblies produce identical graphs. random_regular has no
-// serial twin: its rows time the one sampler (min of 5 builds) at
-// n = 2^16 for r in {3, 4, 6, 8} and at both family sizes for r = 8.
-// The output opens with a host block (cores, CPU model, build).
+// Measures, per family and size, graph generation (chunked emission +
+// bucketized two-pass count/scatter assembly) and the assembly stage in
+// isolation on the same edge multiset in generator emission order, each
+// at 1 thread (the *_serial_ms columns) and at T threads (*_parallel_ms);
+// the speedup columns are the 1 -> T scaling. Both 1-thread graphs must
+// equal their T-thread twins (the determinism column). Also reports
+// bytes/vertex with fixed 8-byte offsets (before) and with
+// width-adaptive offsets (after). random_regular rows time its one
+// sequential sampler (min of 5 builds) at n = 2^16 for r in {3, 4, 6, 8}
+// and at both family sizes for r = 8. The output opens with a host block
+// (cores, CPU model, build).
 //
 //   ./micro_graphgen [--scale small|medium|large] [--threads T] [--seed S]
 //                    [--out BENCH_graphgen.json]
@@ -61,10 +61,9 @@ bool same_graph(const Graph& a, const Graph& b) {
   return true;
 }
 
-/// Edge list in canonical CSR order (the multiset is what assembly
-/// consumes; order only matters for the legacy global sort's run
-/// structure, so we shuffle deterministically to emulate generator
-/// emission order rather than handing the sort presorted input).
+/// The graph's edge multiset (what assembly consumes), shuffled
+/// deterministically to emulate generator emission order rather than
+/// handing assembly presorted input.
 std::vector<std::pair<Vertex, Vertex>> extract_edges(const Graph& g,
                                                      std::uint64_t seed) {
   std::vector<std::pair<Vertex, Vertex>> edges;
@@ -85,11 +84,11 @@ struct Row {
   std::string family;
   std::size_t n = 0;
   std::size_t edges = 0;
-  double gen_serial_ms = 0;      ///< legacy generator, serial assembly
-  double gen_parallel_ms = 0;    ///< new generator, parallel assembly
-  double asm_serial_ms = 0;      ///< build_serial on the edge multiset
-  double asm_parallel_ms = 0;    ///< build on the same multiset
-  double bytes_per_vertex_before = 0;  ///< 8-byte offsets (pre-refactor)
+  double gen_serial_ms = 0;      ///< generator at 1 thread
+  double gen_parallel_ms = 0;    ///< generator at T threads
+  double asm_serial_ms = 0;      ///< build() of the edge multiset, 1 thread
+  double asm_parallel_ms = 0;    ///< build() of the same multiset, T threads
+  double bytes_per_vertex_before = 0;  ///< with fixed 8-byte offsets
   double bytes_per_vertex_after = 0;   ///< width-adaptive offsets
   bool deterministic = false;    ///< 1-thread vs T-thread graphs identical
 
@@ -271,46 +270,43 @@ StreamRow measure_stream(std::size_t n, std::uint64_t seed,
   return row;
 }
 
-/// Times the assembly stage both ways on the same multiset and fills the
-/// memory/determinism columns from the parallel result.
+/// Times `make` at 1 thread and at T threads, records whether the two
+/// graphs are identical, and returns the T-thread graph.
+Graph measure_generation(Row& row, const std::function<Graph()>& make,
+                         std::size_t threads) {
+  Graph single;
+  Graph parallel;
+  GraphBuilder::set_default_threads(1);
+  row.gen_serial_ms = timed_ms([&] { single = make(); });
+  GraphBuilder::set_default_threads(threads);
+  row.gen_parallel_ms = timed_ms([&] { parallel = make(); });
+  row.edges = parallel.num_edges();
+  row.deterministic = same_graph(single, parallel);
+  return parallel;
+}
+
+/// Times build() of the same multiset at 1 thread and at T threads, checks
+/// the two graphs are identical, and fills the memory columns.
 void measure_assembly(Row& row, std::size_t n,
                       const std::vector<std::pair<Vertex, Vertex>>& edges,
                       std::size_t threads) {
-  Graph parallel_graph;
-  {
+  const auto build_at = [&](std::size_t build_threads, double& ms) {
+    GraphBuilder::set_default_threads(build_threads);
     GraphBuilder builder(n);
     builder.reserve(edges.size());
     for (const auto& [u, v] : edges) builder.add_edge(u, v);
-    row.asm_serial_ms = timed_ms([&] {
-      Graph g = builder.build_serial(row.family + "/serial");
-      row.bytes_per_vertex_before =
-          static_cast<double>((n + 1) * 8 + g.adjacency().size() * 4) /
-          static_cast<double>(n);
-    });
-  }
-  {
-    GraphBuilder::set_default_threads(threads);
-    GraphBuilder builder(n);
-    builder.reserve(edges.size());
-    for (const auto& [u, v] : edges) builder.add_edge(u, v);
-    row.asm_parallel_ms = timed_ms([&] {
-      parallel_graph = builder.build(row.family + "/parallel");
-    });
-    row.bytes_per_vertex_after =
-        static_cast<double>(parallel_graph.memory_bytes()) /
-        static_cast<double>(n);
-  }
-  {
-    // Thread-count independence: a 1-thread run of the parallel algorithm
-    // must produce the identical graph.
-    GraphBuilder::set_default_threads(1);
-    GraphBuilder builder(n);
-    builder.reserve(edges.size());
-    for (const auto& [u, v] : edges) builder.add_edge(u, v);
-    const Graph single = builder.build(row.family + "/single");
-    row.deterministic = same_graph(single, parallel_graph);
-    GraphBuilder::set_default_threads(threads);
-  }
+    Graph g;
+    ms = timed_ms([&] { g = builder.build(row.family); });
+    return g;
+  };
+  const Graph single = build_at(1, row.asm_serial_ms);
+  const Graph parallel = build_at(threads, row.asm_parallel_ms);
+  row.deterministic = row.deterministic && same_graph(single, parallel);
+  row.bytes_per_vertex_before =
+      static_cast<double>((n + 1) * 8 + parallel.adjacency().size() * 4) /
+      static_cast<double>(n);
+  row.bytes_per_vertex_after =
+      static_cast<double>(parallel.memory_bytes()) / static_cast<double>(n);
 }
 
 void emit_row(std::FILE* f, const Row& row, bool last) {
@@ -353,28 +349,22 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const std::size_t n : {n_small, n_large}) {
-    // erdos_renyi(p = 8/n): restructured sampler (per-chunk streams).
+    // erdos_renyi(p = 8/n) and a near-square 2D torus.
     {
       Row row;
       row.family = "erdos_renyi";
       row.n = n;
       const double p = 8.0 / static_cast<double>(n);
-      GraphBuilder::set_default_threads(1);
-      Rng serial_rng(seed);
-      row.gen_serial_ms =
-          timed_ms([&] { gen::erdos_renyi_serial(n, p, serial_rng); });
-      GraphBuilder::set_default_threads(threads);
-      Rng parallel_rng(seed);
-      Graph parallel_graph;
-      row.gen_parallel_ms =
-          timed_ms([&] { parallel_graph = gen::erdos_renyi(n, p, parallel_rng); });
-      row.edges = parallel_graph.num_edges();
-      const auto edges = extract_edges(parallel_graph, seed ^ 0x79b9);
-      parallel_graph = Graph();
-      measure_assembly(row, n, edges, threads);
+      const Graph g = measure_generation(
+          row,
+          [&] {
+            Rng rng(seed);
+            return gen::erdos_renyi(n, p, rng);
+          },
+          threads);
+      measure_assembly(row, n, extract_edges(g, seed ^ 0x79b9), threads);
       rows.push_back(std::move(row));
     }
-    // torus (2D, near-square): deterministic, bitwise-identical output.
     {
       Row row;
       row.family = "torus2d";
@@ -382,23 +372,9 @@ int main(int argc, char** argv) {
       std::size_t side = 1;
       while (side * side < n) side <<= 1;
       const std::vector<std::size_t> dims{side, n / side};
-      GraphBuilder::set_default_threads(1);
-      Graph serial_graph;
-      row.gen_serial_ms =
-          timed_ms([&] { serial_graph = gen::grid_serial(dims, true); });
-      GraphBuilder::set_default_threads(threads);
-      Graph parallel_graph;
-      row.gen_parallel_ms =
-          timed_ms([&] { parallel_graph = gen::torus(dims); });
-      row.edges = parallel_graph.num_edges();
-      if (!same_graph(serial_graph, parallel_graph)) {
-        std::fprintf(stderr, "FATAL: torus parity broken at n=%zu\n", n);
-        return 1;
-      }
-      const auto edges = extract_edges(parallel_graph, seed ^ 0x85eb);
-      serial_graph = Graph();
-      parallel_graph = Graph();
-      measure_assembly(row, n, edges, threads);
+      const Graph g =
+          measure_generation(row, [&] { return gen::torus(dims); }, threads);
+      measure_assembly(row, n, extract_edges(g, seed ^ 0x85eb), threads);
       rows.push_back(std::move(row));
     }
   }

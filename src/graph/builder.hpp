@@ -10,15 +10,10 @@
 // algorithm parallelized on the sim/ thread pool: degree counting and
 // endpoint scattering claim edge chunks with relaxed atomic adds, then
 // per-vertex neighbour sorts (which also detect duplicates as adjacent
-// equal entries) run over vertex chunks. No global edge sort is performed,
-// which is what makes assembly several times faster than the legacy path
-// even single-threaded. Because the finished CSR is canonical (sorted
-// neighbourhoods), the result is bitwise-identical whatever the thread
-// count or scatter interleaving.
-//
-// build_serial()/build_dedup_serial() keep the original sort-based
-// assembly verbatim — the parity oracle for tests and the baseline that
-// bench/micro_graphgen measures the parallel path against.
+// equal entries) run over vertex chunks. No global edge sort is performed.
+// Because the finished CSR is canonical (sorted neighbourhoods), the
+// result is bitwise-identical whatever the thread count or scatter
+// interleaving; tests/substrate_test.cpp pins it with golden CSR digests.
 #pragma once
 
 #include <cstdint>
@@ -62,11 +57,6 @@ class GraphBuilder {
                                std::vector<std::pair<Vertex, Vertex>>&)>& emit,
       std::size_t chunk_items = 0);
 
-  /// True if {u,v} was queued already. O(queued edges) — intended for
-  /// generators that add few edges or want occasional checks; heavy users
-  /// should dedup themselves.
-  bool has_edge_queued(Vertex u, Vertex v) const;
-
   std::size_t num_vertices() const noexcept { return num_vertices_; }
   std::size_t num_edges_queued() const noexcept { return edges_.size(); }
 
@@ -80,13 +70,6 @@ class GraphBuilder {
   /// are expected and harmless.
   Graph build_dedup(std::string name);
 
-  /// Legacy sort-based assembly (global edge sort + scatter + per-vertex
-  /// sorts), kept verbatim as the parity oracle for the parallel path and
-  /// the serial baseline for bench/micro_graphgen. Semantics identical to
-  /// build()/build_dedup().
-  Graph build_serial(std::string name);
-  Graph build_dedup_serial(std::string name);
-
   /// Process-wide default parallelism for graph assembly: 0 (the default)
   /// means hardware_concurrency; 1 forces serial execution of the parallel
   /// algorithm (bitwise-identical output either way). Benches and the
@@ -95,8 +78,7 @@ class GraphBuilder {
   static std::size_t default_threads() noexcept;
 
  private:
-  Graph finish_serial(std::string name, bool allow_duplicates);
-  Graph finish_parallel(std::string name, bool allow_duplicates);
+  Graph finish(std::string name, bool allow_duplicates);
 
   std::size_t num_vertices_;
   std::vector<std::pair<Vertex, Vertex>> edges_;

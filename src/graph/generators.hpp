@@ -16,6 +16,11 @@
 //
 // All generators return simple undirected graphs built through
 // GraphBuilder, with descriptive name() strings used in experiment tables.
+// erdos_renyi, grid/torus and hypercube are their edge streams
+// (graph/stream.hpp) materialised by build_from_stream, so there is one
+// sampler per family whether a graph is built in RAM or on disk. Sample
+// sequences are pinned by golden CSR digests in tests/substrate_test.cpp
+// and tests/outofcore_test.cpp, and G(n,p) is held to its exact law.
 #pragma once
 
 #include <cstdint>
@@ -136,20 +141,5 @@ Graph paley(std::size_t q);
 /// K(5, 2) is the Petersen graph. Requires n_set >= 2k (and a vertex
 /// count that fits comfortably: C(n_set, k) <= 1e6).
 Graph kneser(std::size_t n_set, std::size_t k_subset);
-
-// ---- legacy serial oracles ----
-//
-// The exact pre-refactor generator loops with the sort-based serial
-// assembly, kept as parity oracles for the parallel generators (see
-// tests/substrate_test.cpp) and as the baselines bench/micro_graphgen
-// reports speedups against. Determinism contracts:
-//  * grid/torus/hypercube are deterministic, so parallel chunking is
-//    bitwise-identical by construction;
-//  * erdos_renyi was restructured into per-chunk RNG streams (the serial
-//    skip sequence cannot be split), so erdos_renyi_serial is the
-//    distributional oracle, not a bitwise one.
-Graph erdos_renyi_serial(std::size_t n, double p, Rng& rng);
-Graph grid_serial(const std::vector<std::size_t>& dims, bool periodic);
-Graph hypercube_serial(std::size_t d);
 
 }  // namespace cobra::gen

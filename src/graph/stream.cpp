@@ -38,6 +38,19 @@
 
 namespace cobra::gen {
 
+Graph build_from_stream(const EdgeStream& stream) {
+  GraphBuilder builder(stream.n);
+  builder.reserve(stream.edges_hint);
+  builder.add_edges_chunked(
+      stream.count,
+      [&stream](std::size_t begin, std::size_t end,
+                std::vector<std::pair<Vertex, Vertex>>& out) {
+        stream.emit(begin, end, out);
+      },
+      stream.chunk_items);
+  return builder.build(stream.name);
+}
+
 namespace {
 
 /// Default chunk size when a stream does not fix one — matches the

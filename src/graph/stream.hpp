@@ -10,9 +10,11 @@
 // where randomness is involved. EdgeStream packages exactly that contract
 // as a value, so one description drives both paths:
 //
-//   - in-core:  the generators in generators.hpp feed the stream's emit
-//     into GraphBuilder (same chunk boundaries, same RNG draws), then
-//     assemble the full CSR in RAM;
+//   - in-core: build_from_stream() feeds the stream's emit into
+//     GraphBuilder (same chunk boundaries, same RNG draws), then assembles
+//     the full CSR in RAM. It is the one place a stream is materialised
+//     in memory; the in-core generators in generators.hpp are
+//     build_from_stream(family_stream(...));
 //   - out-of-core: stream_to_cgr() scatters the same emitted edges into
 //     per-shard spill files on disk (Phase A, parallel over chunks), then
 //     assembles one shard's CSR slice at a time and appends it through
@@ -57,15 +59,21 @@ struct EdgeStream {
       emit;
 };
 
-/// Stream factories for the families with a chunk-pure emitter. Each
-/// consumes the caller's RNG exactly like its in-core counterpart (the
-/// in-core generators are implemented *on top of* these streams), so a
-/// factory call and an in-core call with equal-state RNGs sample the same
-/// edge multiset.
+/// Stream factories for the families with a chunk-pure emitter. The
+/// in-core generators are build_from_stream() of these streams, so a
+/// factory call and an in-core call with equal-state RNGs consume the RNG
+/// identically and sample the same edge multiset.
 EdgeStream erdos_renyi_stream(std::size_t n, double p, Rng& rng);
 EdgeStream grid_stream(const std::vector<std::size_t>& dims, bool periodic);
 EdgeStream torus_stream(const std::vector<std::size_t>& dims);
 EdgeStream hypercube_stream(std::size_t d);
+
+/// Materialises `stream` in RAM: its emitter runs through
+/// GraphBuilder::add_edges_chunked with the stream's own chunking (the
+/// windows stream_to_cgr walks), then build() assembles the CSR, named
+/// stream.name. Throws std::invalid_argument on invalid or duplicate
+/// edges, like build().
+Graph build_from_stream(const EdgeStream& stream);
 
 struct StreamToCgrOptions {
   /// Approximate peak-RSS target for the whole generation, in bytes. The

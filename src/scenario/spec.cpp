@@ -2,6 +2,7 @@
 #include "scenario/spec.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -48,7 +49,7 @@ bool parse_spec_double(const std::string& text, double& value) {
   try {
     std::size_t used = 0;
     value = std::stod(text, &used);
-    return used == text.size();
+    return used == text.size() && std::isfinite(value);
   } catch (const std::exception&) {
     return false;
   }

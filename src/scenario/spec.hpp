@@ -119,7 +119,8 @@ std::vector<std::string> expand_values(const std::string& value,
 /// consistent. Returns false on malformed/partial input.
 bool parse_spec_int(std::string_view text, std::int64_t& value);
 
-/// Strict full-consumption double parse (same sharing rationale).
+/// Strict full-consumption parse of a finite double (same sharing
+/// rationale); nan and inf are rejected.
 bool parse_spec_double(const std::string& text, double& value);
 
 }  // namespace cobra::scenario

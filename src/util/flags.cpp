@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
@@ -85,7 +86,9 @@ double Flags::get_double(std::string_view name, double fallback) const {
   try {
     std::size_t used = 0;
     const double value = std::stod(it->second, &used);
-    if (used != it->second.size()) throw std::invalid_argument("trailing");
+    if (used != it->second.size() || !std::isfinite(value)) {
+      throw std::invalid_argument("trailing or non-finite");
+    }
     return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + it->first +

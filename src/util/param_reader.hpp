@@ -11,6 +11,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -130,7 +131,7 @@ class ParamReader {
     } catch (const std::exception&) {
       used = 0;
     }
-    if (text.empty() || used != text.size()) {
+    if (text.empty() || used != text.size() || !std::isfinite(value)) {
       throw Error(context_ + ": parameter '" + std::string(key) +
                   "' expects a number, got '" + text + "'");
     }

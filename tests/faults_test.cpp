@@ -303,6 +303,16 @@ TEST(FaultsSpec, RejectsUnknownKeysAndMalformedValues) {
             "s.scenario"));
       },
       "[faults]");
+  for (const std::string value : {"nan", "inf"}) {
+    expect_spec_error(
+        [&] {
+          scenario::plan_campaign(scenario::ScenarioSpec::parse_string(
+              "[graph]\nfamily = cycle\nn = 32\n[process]\nname = cobra\n"
+              "[faults]\ndrop = " + value + "\n",
+              "s.scenario"));
+        },
+        "parameter 'drop' expects a number, got '" + value + "'");
+  }
   expect_spec_error(
       [] {
         scenario::plan_campaign(scenario::ScenarioSpec::parse_string(

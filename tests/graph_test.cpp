@@ -121,14 +121,6 @@ TEST(GraphBuilder, BuildDedupDropsDuplicates) {
   EXPECT_TRUE(g.has_edge(1, 2));
 }
 
-TEST(GraphBuilder, HasEdgeQueuedNormalizesOrientation) {
-  GraphBuilder builder(4);
-  builder.add_edge(2, 1);
-  EXPECT_TRUE(builder.has_edge_queued(1, 2));
-  EXPECT_TRUE(builder.has_edge_queued(2, 1));
-  EXPECT_FALSE(builder.has_edge_queued(0, 1));
-}
-
 TEST(GraphBuilder, EdgelessGraph) {
   GraphBuilder builder(4);
   const Graph g = builder.build("isolated");

@@ -4,8 +4,10 @@
 // corruption/truncation rejection), zero-copy mmap loading (view
 // invariants, alias tables over borrowed weights), and the streaming
 // generator's byte identity against the in-core path across families,
-// seeds, and thread counts.
+// seeds, and thread counts, with golden CSR digests for the in-core
+// generators built from those streams.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -40,6 +42,22 @@ std::vector<char> read_bytes(const std::string& path) {
 void write_bytes(const std::string& path, const std::vector<char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// FNV-1a over the CSR, as in substrate_test: vertex count, offsets as
+/// u64, adjacency as u32.
+std::uint64_t CsrDigest(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(g.num_vertices(), 8);
+  for (Vertex v = 0; v <= g.num_vertices(); ++v) mix(g.offset(v), 8);
+  for (const Vertex w : g.adjacency()) mix(w, 4);
+  return h;
 }
 
 ::testing::AssertionResult GraphsIdentical(const Graph& a, const Graph& b) {
@@ -324,6 +342,9 @@ std::vector<StreamCase> stream_cases() {
       {"erdos_renyi",
        [](Rng& rng) { return gen::erdos_renyi_stream(3000, 0.004, rng); },
        [](Rng& rng) { return gen::erdos_renyi(3000, 0.004, rng); }},
+      {"erdos_renyi p=1",
+       [](Rng& rng) { return gen::erdos_renyi_stream(50, 1.0, rng); },
+       [](Rng& rng) { return gen::erdos_renyi(50, 1.0, rng); }},
       {"torus",
        [](Rng&) { return gen::torus_stream({50, 41}); },
        [](Rng&) { return gen::torus({50, 41}); }},
@@ -446,19 +467,23 @@ TEST(StreamedGeneration, RejectsInvalidStreams) {
   EXPECT_THROW(gen::stream_to_cgr(dup, temp_path("bad.cgr")),
                std::invalid_argument);
   std::remove(temp_path("bad.cgr").c_str());
+
+  // A NaN edge probability is out of range, not an endless skip loop.
+  Rng rng(1);
+  EXPECT_THROW(gen::erdos_renyi_stream(50, std::nan(""), rng),
+               std::invalid_argument);
 }
 
-TEST(StreamedGeneration, InCoreGeneratorsStillMatchSerialOracles) {
-  // The generators were refactored on top of the stream factories; the
-  // lattice families must still equal their legacy serial oracles bit for
-  // bit, and ER must keep its chunk contract (pure function of the seed).
-  EXPECT_TRUE(GraphsIdentical(gen::torus({12, 9}), gen::grid_serial({12, 9},
-                                                                    true)));
-  EXPECT_TRUE(GraphsIdentical(gen::hypercube(6), gen::hypercube_serial(6)));
-  Rng a(3), b(3);
-  EXPECT_TRUE(
-      GraphsIdentical(gen::erdos_renyi(500, 0.02, a),
-                      gen::erdos_renyi(500, 0.02, b)));
+TEST(StreamedGeneration, InCoreGeneratorDigestsArePinned) {
+  // The in-core generators are build_from_stream of the stream
+  // factories. The lattice digests were checked against independent
+  // single-loop generators when they were recorded; the G(n,p) digest
+  // pins its chunked sample sequence (a pure function of the seed).
+  EXPECT_EQ(CsrDigest(gen::torus({12, 9})), 0xf401b760a87b816eull);
+  EXPECT_EQ(CsrDigest(gen::hypercube(6)), 0x33651edae435cbf5ull);
+  Rng rng(3);
+  EXPECT_EQ(CsrDigest(gen::erdos_renyi(500, 0.02, rng)),
+            0x9fbd953ec26741b1ull);
 }
 
 }  // namespace

@@ -203,6 +203,26 @@ TEST(Registry, UnknownKeysAndNamesFailLoudly) {
       "not both");
   expect_spec_error([&] { scenario::make_process(g, {{"name", "gossip9000"}}); },
                     "unknown name");
+  // Non-finite numbers are not numbers: NaN slips through every
+  // `x < lo || x > hi` range check, so the parser rejects it (and inf).
+  expect_spec_error(
+      [&] {
+        build_graph({{"family", "random_geometric"}, {"n", "64"},
+                     {"radius", "nan"}},
+                    rng);
+      },
+      "parameter 'radius' expects a number, got 'nan'");
+  expect_spec_error(
+      [&] {
+        build_graph({{"family", "erdos_renyi"}, {"n", "64"}, {"p", "nan"}},
+                    rng);
+      },
+      "parameter 'p' expects a number, got 'nan'");
+  for (const char* value : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    expect_spec_error(
+        [&] { scenario::make_process(g, {{"name", "cobra"}, {"rho", value}}); },
+        "parameter 'rho' expects a number, got '" + std::string(value) + "'");
+  }
 }
 
 // ---- planning ----
@@ -277,6 +297,17 @@ TEST(Plan, RejectsUnknownSectionsKeysAndNames) {
             "s.scenario"));
       },
       "s.scenario:6: process 'cobra' has no parameter 'max_round'");
+  for (const std::string value : {"nan", "inf"}) {
+    expect_spec_error(
+        [&] {
+          plan_campaign(ScenarioSpec::parse_string(
+              "[graph]\nfamily = cycle\nn = 32\n[process]\nname = cobra\n"
+              "[telemetry]\nprogress = " + value + "\n",
+              "s.scenario"));
+        },
+        "s.scenario:7: [telemetry] progress expects an interval in seconds "
+        ">= 0 (0 = off), got '" + value + "'");
+  }
 }
 
 // ---- execution ----

@@ -1,16 +1,18 @@
 // SPDX-License-Identifier: MIT
 //
 // Tests for the scalable graph substrate: width-adaptive CSR invariants,
-// the bucketized parallel assembly (vs the legacy sort-based serial
-// oracle), deterministic parallel generators (thread-count independence
-// and parity against the *_serial legacy generators), random_regular
-// against the exact uniform law plus pinned golden digests, and the
-// binary .cgr format (round trips and corrupt-file rejection).
+// the bucketized parallel assembly (pinned golden CSR digests, the
+// duplicate report), deterministic parallel generators (thread-count
+// independence and pinned lattice digests), random_regular and
+// erdos_renyi against their exact laws plus pinned golden digests, and
+// the binary .cgr format (round trips and corrupt-file rejection).
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "graph/stream.hpp"
 #include "rand/rng.hpp"
 
 namespace cobra {
@@ -129,58 +132,49 @@ TEST(CompactCsr, SizeTConstructorNarrows) {
   EXPECT_TRUE(g.has_edge(0, 1));
 }
 
-// ---- parallel assembly vs the serial oracle ----
+// ---- parallel assembly ----
 
-TEST(ParallelBuild, MatchesSerialOracleOnRandomEdgeSets) {
+TEST(ParallelBuild, RandomEdgeSetDigestsArePinned) {
+  // build_dedup of random multisets with collisions. The digests were
+  // checked against an independent sort-based assembly when they were
+  // recorded; a change to any of them is a change to the CSR.
   ThreadGuard guard;
-  for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
+  GraphBuilder::set_default_threads(4);
+  const std::array<std::pair<std::uint64_t, std::uint64_t>, 3> golden{{
+      {11, 0x6c381ce07c0b5ff6ull},
+      {22, 0xc54757e75144d053ull},
+      {33, 0x06481e4dd26ce46full},
+  }};
+  for (const auto& [seed, digest] : golden) {
     Rng rng(seed);
     const std::size_t n = 2000;
-    std::vector<std::pair<Vertex, Vertex>> edges;
+    GraphBuilder builder(n);
     for (std::size_t i = 0; i < 6000; ++i) {
       const auto u = static_cast<Vertex>(rng.next_below(n));
       const auto v = static_cast<Vertex>(rng.next_below(n));
-      if (u != v) edges.emplace_back(u, v);
+      if (u != v) builder.add_edge(u, v);
     }
-    GraphBuilder parallel_builder(n);
-    GraphBuilder serial_builder(n);
-    for (const auto& [u, v] : edges) {
-      parallel_builder.add_edge(u, v);
-      serial_builder.add_edge(u, v);
-    }
-    GraphBuilder::set_default_threads(4);
-    const Graph parallel = parallel_builder.build_dedup("p");
-    const Graph serial = serial_builder.build_dedup_serial("s");
-    EXPECT_TRUE(GraphsIdentical(parallel, serial));
-    ExpectCsrInvariants(parallel);
+    const Graph g = builder.build_dedup("p");
+    EXPECT_EQ(CsrDigest(g), digest) << "seed " << seed;
+    ExpectCsrInvariants(g);
   }
 }
 
-TEST(ParallelBuild, DuplicateThrowsWithSameMessageAsSerial) {
-  const auto queue_edges = [](GraphBuilder& builder) {
-    builder.add_edge(5, 9);
-    builder.add_edge(2, 3);
-    builder.add_edge(9, 5);  // duplicate of {5,9}
-    builder.add_edge(1, 7);
-  };
-  GraphBuilder parallel_builder(12);
-  GraphBuilder serial_builder(12);
-  queue_edges(parallel_builder);
-  queue_edges(serial_builder);
-  std::string parallel_message;
-  std::string serial_message;
+TEST(ParallelBuild, DuplicateThrowsNamingTheLeastDuplicate) {
+  // The report names the lexicographically least duplicate pair (min
+  // endpoint first), whatever the queue order.
+  GraphBuilder builder(12);
+  builder.add_edge(5, 9);
+  builder.add_edge(2, 3);
+  builder.add_edge(9, 5);  // duplicate of {5,9}
+  builder.add_edge(1, 7);
+  std::string message;
   try {
-    parallel_builder.build("dup");
+    builder.build("dup");
   } catch (const std::invalid_argument& e) {
-    parallel_message = e.what();
+    message = e.what();
   }
-  try {
-    serial_builder.build_serial("dup");
-  } catch (const std::invalid_argument& e) {
-    serial_message = e.what();
-  }
-  ASSERT_FALSE(parallel_message.empty());
-  EXPECT_EQ(parallel_message, serial_message);
+  EXPECT_EQ(message, "duplicate edge {5,9} in graph 'dup'");
 }
 
 TEST(ParallelBuild, BuildSimpleEdgesRejectsDuplicates) {
@@ -205,7 +199,7 @@ TEST(ParallelBuild, AddEdgesChunkedValidatesAndKeepsEmitOrderSemantics) {
                               }
                             }),
       std::invalid_argument);
-  // Equivalence with serial add_edge under any thread count.
+  // Equivalence with add_edge + build() under any thread count.
   const auto emit = [](std::size_t begin, std::size_t end,
                        std::vector<std::pair<Vertex, Vertex>>& out) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -222,11 +216,11 @@ TEST(ParallelBuild, AddEdgesChunkedValidatesAndKeepsEmitOrderSemantics) {
     plain.add_edge(static_cast<Vertex>(i),
                    static_cast<Vertex>((i + 1) % 100000));
   }
-  const Graph b = plain.build_serial("ring");
+  const Graph b = plain.build("ring");
   EXPECT_TRUE(GraphsIdentical(a, b));
 }
 
-// ---- generator parity vs legacy serial oracles (3 families x 3 seeds) ----
+// ---- generators ----
 
 TEST(GeneratorParity, RandomRegularDegreeSequenceExact) {
   // Every vertex owns exactly r stubs, so any miscount here means the
@@ -347,43 +341,125 @@ TEST(RandomRegularGolden, CsrDigestsArePinned) {
             0xa81f14dd49dd3a49ull);
 }
 
-TEST(GeneratorParity, LatticesBitwise) {
+TEST(LatticeGolden, CsrDigestsArePinned) {
+  // Lattices draw no randomness, so each has one CSR. The digests were
+  // checked against independent single-loop generators with a sort-based
+  // assembly when they were recorded.
   ThreadGuard guard;
   GraphBuilder::set_default_threads(8);
-  for (const std::size_t side : {9ull, 33ull, 64ull}) {
-    EXPECT_TRUE(GraphsIdentical(gen::torus({side, side}),
-                                gen::grid_serial({side, side}, true)));
-    EXPECT_TRUE(GraphsIdentical(gen::grid({side, 7}, false),
-                                gen::grid_serial({side, 7}, false)));
+  const std::array<std::array<std::uint64_t, 3>, 3> golden{{
+      // side, torus(side x side), open grid(side x 7)
+      {9, 0xb6d33da096918bd0ull, 0x5044f1e3c53cef52ull},
+      {33, 0xa66a1159f16fcb50ull, 0x14bbf94f17d5cd36ull},
+      {64, 0x0d0edf59957df00dull, 0x9e020997173861f9ull},
+  }};
+  for (const auto& [side, torus, grid] : golden) {
+    EXPECT_EQ(CsrDigest(gen::torus({side, side})), torus) << "side " << side;
+    EXPECT_EQ(CsrDigest(gen::grid({side, 7}, false)), grid) << "side " << side;
   }
-  EXPECT_TRUE(GraphsIdentical(gen::hypercube(11), gen::hypercube_serial(11)));
+  EXPECT_EQ(CsrDigest(gen::hypercube(11)), 0xbf413c7ed79ad45dull);
 }
 
-TEST(GeneratorParity, ErdosRenyiDistributionalOracle) {
-  // The chunked G(n,p) sampler is a restructured sampling scheme, so the
-  // oracle is distributional: expected edge count against the legacy
-  // single-stream sampler, plus exact extremes.
-  ThreadGuard guard;
-  GraphBuilder::set_default_threads(4);
-  const std::size_t n = 4096;
-  const double p = 8.0 / static_cast<double>(n);
-  double parallel_total = 0;
-  double serial_total = 0;
-  const int reps = 12;
-  for (int i = 0; i < reps; ++i) {
-    Rng pr(100 + i);
-    Rng sr(100 + i);
-    parallel_total += static_cast<double>(gen::erdos_renyi(n, p, pr).num_edges());
-    serial_total +=
-        static_cast<double>(gen::erdos_renyi_serial(n, p, sr).num_edges());
+// ---- erdos_renyi against the exact G(n,p) law ----
+//
+// Each of the N = n(n-1)/2 pairs is an edge independently with
+// probability p, so a sample's edge count is Binomial(N, p). The tests
+// draw independent samples and run a one-sample chi-square of their edge
+// counts against that law, over cells of probability about 1/20 cut at
+// integer counts from the exact pmf (the last cell takes the remainder).
+// As above, each bound is the chi-square upper quantile at false-alarm
+// rate 1e-6 for the test's degrees of freedom (cells - 1).
+
+/// Chi-square of the edge counts of `samples` draws against
+/// Binomial(pairs, p); `cells` receives the number of cells used.
+double EdgeCountChiSquare(const std::function<std::uint64_t()>& draw,
+                          int samples, std::uint64_t pairs, double p,
+                          std::size_t& cells) {
+  const double mean = static_cast<double>(pairs) * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  const auto lo =
+      static_cast<std::uint64_t>(std::max(0.0, std::floor(mean - 12 * sd)));
+  const std::uint64_t hi = std::min<std::uint64_t>(
+      pairs, static_cast<std::uint64_t>(std::floor(mean + 12 * sd)) + 1);
+  const double log_norm = std::lgamma(static_cast<double>(pairs) + 1.0);
+  std::vector<std::uint64_t> upper;  // inclusive top count of each cell
+  std::vector<double> prob;
+  double acc = 0.0;
+  for (std::uint64_t k = lo; k <= hi; ++k) {
+    const auto kd = static_cast<double>(k);
+    acc += std::exp(log_norm - std::lgamma(kd + 1.0) -
+                    std::lgamma(static_cast<double>(pairs - k) + 1.0) +
+                    kd * std::log(p) +
+                    static_cast<double>(pairs - k) * std::log1p(-p));
+    if (acc >= 1.0 / 20) {
+      upper.push_back(k);
+      prob.push_back(acc);
+      acc = 0.0;
+    }
   }
-  const double expected = p * static_cast<double>(n) *
-                          static_cast<double>(n - 1) / 2.0;
-  EXPECT_NEAR(parallel_total / reps, expected, expected * 0.05);
-  EXPECT_NEAR(serial_total / reps, expected, expected * 0.05);
+  prob.back() += acc;
+  upper.back() = pairs;
+  std::vector<int> observed(prob.size(), 0);
+  for (int i = 0; i < samples; ++i) {
+    const std::uint64_t edges = draw();
+    ++observed[static_cast<std::size_t>(
+        std::lower_bound(upper.begin(), upper.end(), edges) - upper.begin())];
+  }
+  double chi2 = 0.0;
+  for (std::size_t c = 0; c < prob.size(); ++c) {
+    const double expected = samples * prob[c];
+    chi2 += (observed[c] - expected) * (observed[c] - expected) / expected;
+  }
+  cells = prob.size();
+  return chi2;
+}
+
+std::uint64_t StreamChunks(const gen::EdgeStream& stream) {
+  return (stream.count + stream.chunk_items - 1) / stream.chunk_items;
+}
+
+TEST(ErdosRenyiExactLaw, EdgeCountIsBinomialInOneChunk) {
+  // G(16, 1/2), one sampler chunk: 20 000 samples of Binomial(120, 1/2)
+  // over 15 cells, df = 14, bound 54.6. Small enough that a sampler
+  // losing one pair per sample (a 0.09 sd shift) fails the bound.
+  constexpr std::size_t kN = 16;
+  constexpr double kP = 0.5;
+  Rng probe(0);
+  ASSERT_EQ(StreamChunks(gen::erdos_renyi_stream(kN, kP, probe)), 1u);
+  Rng rng(1616);
+  std::size_t cells = 0;
+  const double chi2 = EdgeCountChiSquare(
+      [&] { return gen::erdos_renyi(kN, kP, rng).num_edges(); }, 20000,
+      kN * (kN - 1) / 2, kP, cells);
+  ASSERT_EQ(cells, 15u);
+  EXPECT_LT(chi2, 54.6);
+}
+
+TEST(ErdosRenyiExactLaw, EdgeCountIsBinomialAcrossTwoChunks) {
+  // G(8192, 1/1024): the sampler splits the 33 550 336 pairs into two
+  // chunks with their own RNG streams. 1 000 samples over 19 cells,
+  // df = 18, bound 61.9. Correlated chunks (say, both drawing one stream)
+  // would double the count's variance.
+  ThreadGuard guard;
+  GraphBuilder::set_default_threads(1);  // pool start-up would dominate
+  constexpr std::size_t kN = 8192;
+  constexpr double kP = 1.0 / 1024;
+  Rng probe(0);
+  ASSERT_EQ(StreamChunks(gen::erdos_renyi_stream(kN, kP, probe)), 2u);
+  Rng rng(8192);
+  std::size_t cells = 0;
+  const double chi2 = EdgeCountChiSquare(
+      [&] { return gen::erdos_renyi(kN, kP, rng).num_edges(); }, 1000,
+      std::uint64_t{kN} * (kN - 1) / 2, kP, cells);
+  ASSERT_EQ(cells, 19u);
+  EXPECT_LT(chi2, 61.9);
+}
+
+TEST(ErdosRenyiExactLaw, ExtremesAreExact) {
   Rng rng(7);
   EXPECT_EQ(gen::erdos_renyi(32, 0.0, rng).num_edges(), 0u);
-  EXPECT_EQ(gen::erdos_renyi(32, 1.0, rng).num_edges(), 32u * 31 / 2);
+  EXPECT_TRUE(GraphsIdentical(gen::erdos_renyi(32, 1.0, rng),
+                              gen::complete(32)));
 }
 
 // ---- thread-count independence ----

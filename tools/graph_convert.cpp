@@ -12,11 +12,12 @@
 //   graph_convert --generate family=erdos_renyi,n=1000000,p=0.0001 \
 //       --seed 42 --mem-budget 64M big.cgr           # out-of-core
 //
-// Generation (--generate) streams the family's edges through the
-// out-of-core scatter/assemble path by default, so the peak working set
-// follows --mem-budget instead of the graph size; --in-core builds the
-// full graph in RAM first (byte-identical output — the CI smoke compares
-// the two). --status FILE drops a small JSON with the achieved VmHWM so
+// Generation (--generate) turns the spec into the family's EdgeStream and
+// by default runs it through the out-of-core scatter/assemble path, so
+// the peak working set follows --mem-budget instead of the graph size;
+// --in-core materialises the same stream in RAM (build_from_stream) and
+// writes it with write_cgr — byte-identical output, which the CI smoke
+// compares. --status FILE drops a small JSON with the achieved VmHWM so
 // memory-budget claims are checkable from scripts.
 //
 // Prints the instance summary (n, m, offset width, resident CSR bytes) so
@@ -182,35 +183,30 @@ int run_generate(const std::string& spec_text, const std::string& output,
   }
 
   Rng rng(seed);
+  gen::EdgeStream stream;
+  if (family == "erdos_renyi") {
+    stream = gen::erdos_renyi_stream(std::stoull(spec_value(spec, "n")),
+                                     std::stod(spec_value(spec, "p")), rng);
+  } else if (family == "torus") {
+    stream = gen::torus_stream(parse_dims(spec_value(spec, "dims")));
+  } else if (family == "grid") {
+    const auto it = spec.find("periodic");
+    stream = gen::grid_stream(parse_dims(spec_value(spec, "dims")),
+                              it != spec.end() && it->second != "0");
+  } else if (family == "hypercube") {
+    stream = gen::hypercube_stream(std::stoull(spec_value(spec, "d")));
+  } else {
+    std::fprintf(stderr, "error: unknown family '%s'\n", family.c_str());
+    return 1;
+  }
+
   StatusReport report;
   report.mode = in_core ? "generate-incore" : "generate-stream";
   report.mem_budget_bytes = budget;
-
   if (in_core) {
-    Graph g;
-    if (family == "erdos_renyi") {
-      g = gen::erdos_renyi(std::stoull(spec_value(spec, "n")),
-                           std::stod(spec_value(spec, "p")), rng);
-    } else if (family == "torus") {
-      g = gen::torus(parse_dims(spec_value(spec, "dims")));
-    } else if (family == "grid") {
-      const auto it = spec.find("periodic");
-      g = gen::grid(parse_dims(spec_value(spec, "dims")),
-                    it != spec.end() && it->second != "0");
-    } else if (family == "hypercube") {
-      g = gen::hypercube(std::stoull(spec_value(spec, "d")));
-    } else {
-      std::fprintf(stderr, "error: unknown family '%s'\n", family.c_str());
-      return 1;
-    }
+    Graph g = gen::build_from_stream(stream);
     if (weights) gen::generate_weights(g, *weights, weight_seed);
-    if (shards > 0) {
-      CgrWriteOptions options;
-      options.shards = shards;
-      write_cgr(g, output, options);
-    } else {
-      write_cgr(g, output);
-    }
+    write_cgr(g, output, {.shards = shards});
     report.n = g.num_vertices();
     report.endpoints = 2 * g.num_edges();
     report.shards = shards;
@@ -220,22 +216,6 @@ int run_generate(const std::string& spec_text, const std::string& output,
                 g.is_weighted() ? " weighted" : "", output.c_str(),
                 shards > 0 ? ", sharded" : "");
   } else {
-    gen::EdgeStream stream;
-    if (family == "erdos_renyi") {
-      stream = gen::erdos_renyi_stream(std::stoull(spec_value(spec, "n")),
-                                       std::stod(spec_value(spec, "p")), rng);
-    } else if (family == "torus") {
-      stream = gen::torus_stream(parse_dims(spec_value(spec, "dims")));
-    } else if (family == "grid") {
-      const auto it = spec.find("periodic");
-      stream = gen::grid_stream(parse_dims(spec_value(spec, "dims")),
-                                it != spec.end() && it->second != "0");
-    } else if (family == "hypercube") {
-      stream = gen::hypercube_stream(std::stoull(spec_value(spec, "d")));
-    } else {
-      std::fprintf(stderr, "error: unknown family '%s'\n", family.c_str());
-      return 1;
-    }
     gen::StreamToCgrOptions options;
     options.mem_budget = budget;
     options.shards = shards;
@@ -334,13 +314,7 @@ int main(int argc, char** argv) {
     if (strip_weights) g = g.strip_weights();
 
     if (output.ends_with(".cgr")) {
-      if (shards > 0) {
-        CgrWriteOptions options;
-        options.shards = shards;
-        write_cgr(g, output, options);
-      } else {
-        write_cgr(g, output);
-      }
+      write_cgr(g, output, {.shards = shards});
     } else {
       std::ofstream out(output, std::ios::trunc);
       if (!out) {
