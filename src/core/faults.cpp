@@ -12,25 +12,25 @@ namespace {
 
 void validate(const FaultOptions& o) {
   if (o.drop < 0.0 || o.drop > 1.0) {
-    throw std::invalid_argument("faults: drop must be in [0, 1]");
+    throw std::invalid_argument("[faults]: drop must be in [0, 1]");
   }
   if (o.churn < 0.0 || o.churn > 1.0) {
-    throw std::invalid_argument("faults: churn must be in [0, 1]");
+    throw std::invalid_argument("[faults]: churn must be in [0, 1]");
   }
   if (o.churn_period > 0 && o.churn_down > o.churn_period) {
     throw std::invalid_argument(
-        "faults: churn_down must be <= churn_period");
+        "[faults]: churn_down must be <= churn_period");
   }
   if (o.churn_period == 0 && o.churn_down > 0) {
     throw std::invalid_argument(
-        "faults: churn_down needs churn_period >= 1");
+        "[faults]: churn_down needs churn_period >= 1");
   }
   if (o.duty_period > 0 && o.duty_awake > o.duty_period) {
     throw std::invalid_argument(
-        "faults: duty_cycle awake rounds must be <= the period");
+        "[faults]: duty_cycle awake rounds must be <= the period");
   }
   if (o.energy_tx < 0.0 || o.energy_rx < 0.0 || o.energy_idle < 0.0) {
-    throw std::invalid_argument("faults: energy costs must be >= 0");
+    throw std::invalid_argument("[faults]: energy costs must be >= 0");
   }
 }
 

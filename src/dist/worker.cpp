@@ -165,7 +165,7 @@ void fetch_missing_graphs(WorkerState& state) {
 /// and rethrown as SpecError: deterministic jobs fail identically on every
 /// worker, so retrying elsewhere cannot help.
 std::size_t run_shard(WorkerState& state, const LeaseGrantMsg& grant,
-                      std::size_t threads) {
+                      ThreadPool* pool) {
   for (const std::uint64_t job : grant.jobs) {
     if (job >= state.plan.jobs.size()) {
       throw ProtocolError("lease grants out-of-range job " +
@@ -182,7 +182,8 @@ std::size_t run_shard(WorkerState& state, const LeaseGrantMsg& grant,
     try {
       const GraphCache::Acquired acquired = state.cache->acquire(job);
       const scenario::JobResult result =
-          scenario::execute_campaign_job(state.plan, job, *acquired.graph);
+          scenario::execute_campaign_job(state.plan, job, *acquired.graph,
+                                         pool);
       state.cache->release(job);
       JobResultMsg msg;
       msg.shard = grant.shard;
@@ -199,9 +200,8 @@ std::size_t run_shard(WorkerState& state, const LeaseGrantMsg& grant,
     }
   };
 
-  if (threads > 0 && grant.jobs.size() > 1) {
-    ThreadPool pool(threads);
-    pool.parallel_for(grant.jobs.size(), run_one);
+  if (pool != nullptr) {
+    pool->parallel_for(grant.jobs.size(), run_one);
   } else {
     for (std::size_t at = 0; at < grant.jobs.size(); ++at) run_one(at);
   }
@@ -250,6 +250,11 @@ WorkerResult run_worker(const WorkerOptions& options) {
                  state.plan.name + "' (coordinator " + welcome.build_info +
                  ")");
 
+  // One pool for the worker's lifetime: a grant's jobs, and the trials
+  // inside each job, are tasks on it.
+  std::unique_ptr<ThreadPool> pool;
+  if (options.threads > 0) pool = std::make_unique<ThreadPool>(options.threads);
+
   WorkerResult result;
   result.worker_id = welcome.worker_id;
   result.coordinator_build = welcome.build_info;
@@ -274,7 +279,7 @@ WorkerResult run_worker(const WorkerOptions& options) {
     const LeaseGrantMsg grant = decode_lease_grant(frame.payload);
     state.log_line("lease shard " + std::to_string(grant.shard) + " (" +
                    std::to_string(grant.jobs.size()) + " job(s))");
-    result.jobs_executed += run_shard(state, grant, options.threads);
+    result.jobs_executed += run_shard(state, grant, pool.get());
     ++result.shards_completed;
   }
   return result;

@@ -18,8 +18,9 @@ namespace cobra::dist {
 struct WorkerOptions {
   std::string host = "127.0.0.1";  ///< numeric IPv4 of the coordinator
   std::uint16_t port = 0;
-  /// Jobs of one shard computed in parallel (0 = serial). Result frames
-  /// stream as jobs finish either way — every frame renews the lease.
+  /// Size of the worker's one pool, on which a shard's jobs and the trials
+  /// inside each job run in parallel (0 = serial). Result frames stream as
+  /// jobs finish either way — every frame renews the lease.
   std::size_t threads = 0;
   /// Per-event log lines (welcome, leases, shard completions).
   std::ostream* log = nullptr;

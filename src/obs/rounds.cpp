@@ -44,7 +44,14 @@ void RoundsSink::append_trial(std::size_t job, std::size_t trial,
   out_.flush();
 }
 
+void RoundRecorder::finish() {
+  if (sink_ == nullptr || samples_.empty()) return;
+  sink_->append_trial(job_, trial_++, samples_);
+  samples_.clear();
+}
+
 void RoundRecorder::on_reset(const Process& process) {
+  finish();
   samples_.clear();
   RoundSample s;
   s.round = 0;

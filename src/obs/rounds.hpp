@@ -65,17 +65,25 @@ class RoundsSink {
 };
 
 /// The observer: buffers every `sample_every`-th round (and always the
-/// final round of the trial, flushed by the caller via take()). Reuse
-/// one recorder per worker across trials — the buffer's capacity
-/// persists, so steady-state recording does not allocate once a trial
-/// of the campaign's round budget has been seen.
+/// final round of the trial). Reuse one recorder per worker across
+/// trials — the buffer's capacity persists, so steady-state recording
+/// does not allocate once a trial of the campaign's round budget has been
+/// seen. With a sink, the recorder streams trials 0, 1, ... of `job` into
+/// it, in the order they ran: each reset appends the previous trial, and
+/// finish() appends the last one.
 class RoundRecorder final : public RoundObserver {
  public:
-  explicit RoundRecorder(std::size_t sample_every = 1)
-      : sample_every_(sample_every == 0 ? 1 : sample_every) {}
+  explicit RoundRecorder(std::size_t sample_every = 1,
+                         RoundsSink* sink = nullptr, std::size_t job = 0)
+      : sample_every_(sample_every == 0 ? 1 : sample_every),
+        sink_(sink),
+        job_(job) {}
 
   void on_reset(const Process& process) override;
   void on_round(const Process& process, const RoundStats& stats) override;
+
+  /// Appends the trial in progress to the sink (no-op without one).
+  void finish();
 
   /// The trial's samples (round 0 snapshot included). The buffer stays
   /// valid until the next on_reset.
@@ -91,6 +99,9 @@ class RoundRecorder final : public RoundObserver {
 
  private:
   std::size_t sample_every_;
+  RoundsSink* sink_;
+  std::size_t job_;
+  std::size_t trial_ = 0;  ///< index of the next trial appended to sink_
   std::vector<RoundSample> samples_;
 };
 

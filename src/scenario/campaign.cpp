@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -15,6 +16,7 @@
 #include "scenario/sink.hpp"
 #include "sim/sweep.hpp"
 #include "sim/thread_pool.hpp"
+#include "sim/trial_runner.hpp"
 #include "stats/quantile.hpp"
 #include "util/stopwatch.hpp"
 
@@ -66,28 +68,12 @@ Summary summary_from(const OnlineStats& stream, std::vector<double>& values) {
   return summary;
 }
 
-JobResult execute_job(const CampaignPlan& plan, const JobSpec& job,
-                      const Graph& g, CampaignTelemetry* telemetry) {
-  obs::TraceSpan job_span(telemetry != nullptr ? telemetry->trace() : nullptr,
-                          "job", "job " + std::to_string(job.index));
-  // Qualified: the enclosing cobra:: namespace has the factory overload.
-  const auto process = scenario::make_process(g, job.process);
-  // Optional fault layer: built per job (cheap — the model is a validated
-  // options holder) and attached before any reset, so every trial of the
-  // job runs the fault-aware rounds. With no [faults] section the process
-  // is never touched and the legacy path stays byte-identical.
-  std::unique_ptr<FaultModel> fault_model;
-  if (!job.faults.empty()) {
-    fault_model = std::make_unique<FaultModel>(
-        g.num_vertices(), parse_fault_options(job.faults));
-    process->set_fault_model(fault_model.get());
-  }
-  const auto starts = spreadable_starts(g);
-  const std::uint64_t job_seed = mix64(plan.base_seed, job.index);
+/// Folds a job's per-trial results, in trial order, into its JobResult.
+JobResult summarize_trials(std::span<const SpreadResult> trials, bool faulty,
+                           CampaignTelemetry* telemetry) {
   JobResult result;
-  result.trials = plan.trials;
-  result.graph_name = g.name();
-  result.faulty = fault_model != nullptr;
+  result.trials = trials.size();
+  result.faulty = faulty;
   OnlineStats rounds_stream;
   OnlineStats tx_stream;
   OnlineStats pdr_stream;
@@ -96,28 +82,13 @@ JobResult execute_job(const CampaignPlan& plan, const JobSpec& job,
   std::vector<double> tx_values;
   std::vector<double> pdr_values;
   std::vector<double> energy_values;
-  rounds_values.reserve(plan.trials);
-  tx_values.reserve(plan.trials);
-  if (result.faulty) {
-    pdr_values.reserve(plan.trials);
-    energy_values.reserve(plan.trials);
+  rounds_values.reserve(trials.size());
+  tx_values.reserve(trials.size());
+  if (faulty) {
+    pdr_values.reserve(trials.size());
+    energy_values.reserve(trials.size());
   }
-  // Per-round telemetry: record the first rounds_trials trials of the job
-  // through the out-of-band observer hook (results are independent of
-  // attached observers — the PR-3 contract, re-verified in obs_test).
-  std::unique_ptr<obs::RoundRecorder> recorder;
-  std::size_t recorded_trials = 0;
-  if (telemetry != nullptr && telemetry->rounds() != nullptr) {
-    recorder = std::make_unique<obs::RoundRecorder>(
-        telemetry->config().rounds_sample_every);
-    recorded_trials =
-        std::min(telemetry->config().rounds_trials, plan.trials);
-  }
-  obs::TraceSpan trials_span(
-      telemetry != nullptr ? telemetry->trace() : nullptr, "trials");
-  // Trial t's result is consumed here regardless of which engine produced
-  // it; the streams see trials strictly in t order either way.
-  const auto consume = [&](const SpreadResult& trial) {
+  for (const SpreadResult& trial : trials) {
     if (telemetry != nullptr) {
       telemetry->metrics().add(telemetry->trials_done);
       telemetry->metrics().observe(telemetry->trial_rounds,
@@ -126,7 +97,7 @@ JobResult execute_job(const CampaignPlan& plan, const JobSpec& job,
         telemetry->metrics().add(telemetry->trials_failed);
       }
     }
-    if (result.faulty) {
+    if (faulty) {
       // Raw delivery totals cover every trial, failed ones included —
       // exactly what was spent, not just what succeeded.
       result.delivered += trial.delivered;
@@ -135,7 +106,7 @@ JobResult execute_job(const CampaignPlan& plan, const JobSpec& job,
     }
     if (!trial.completed) {
       ++result.failed;
-      return;
+      continue;
     }
     const auto rounds = static_cast<double>(trial.rounds);
     const auto tx = static_cast<double>(trial.total_transmissions);
@@ -143,7 +114,7 @@ JobResult execute_job(const CampaignPlan& plan, const JobSpec& job,
     tx_stream.add(tx);
     rounds_values.push_back(rounds);
     tx_values.push_back(tx);
-    if (result.faulty) {
+    if (faulty) {
       // Packet-delivery ratio; a trial that sent nothing (e.g. always
       // down) has no deliveries, so 0 is the honest PDR.
       const double pdr =
@@ -156,47 +127,76 @@ JobResult execute_job(const CampaignPlan& plan, const JobSpec& job,
       pdr_values.push_back(pdr);
       energy_values.push_back(trial.energy);
     }
-  };
-  const auto run_scalar = [&](std::size_t t) {
-    const bool record_rounds = t < recorded_trials;
-    process->set_observer(record_rounds ? recorder.get() : nullptr);
-    const SpreadResult trial = process->run(Rng::for_trial(job_seed, t),
-                                            starts[t % starts.size()]);
-    if (record_rounds) {
-      telemetry->rounds()->append_trial(job.index, t, recorder->samples());
-      if (t + 1 == recorded_trials) process->set_observer(nullptr);
-    }
-    consume(trial);
-  };
-  // [engine] batch >= 2: the lockstep engine runs the bulk of the trials.
-  // Observer-recorded trials stay scalar (round observers hook the scalar
-  // step path), as does any process/fault combination without a batched
-  // engine — the factory's nullptr covers both the fault layer and
-  // unsupported processes, so this degrades to exactly the loop above.
-  // Either way every per-trial SpreadResult is bitwise-identical, so the
-  // aggregates, journal, and sinks cannot tell the engines apart.
-  std::unique_ptr<BatchedEngine> engine;
-  if (plan.batch >= 2) engine = make_batched_engine(*process, plan.batch);
-  if (engine == nullptr) {
-    for (std::size_t t = 0; t < plan.trials; ++t) run_scalar(t);
-  } else {
-    for (std::size_t t = 0; t < recorded_trials; ++t) run_scalar(t);
-    std::vector<SpreadResult> block(plan.batch);
-    for (std::size_t first = recorded_trials; first < plan.trials;
-         first += plan.batch) {
-      const std::size_t count = std::min(plan.batch, plan.trials - first);
-      engine->run_block(job_seed, first, count, starts, block.data());
-      for (std::size_t i = 0; i < count; ++i) consume(block[i]);
-    }
   }
   if (!rounds_values.empty()) {
     result.rounds = summary_from(rounds_stream, rounds_values);
     result.transmissions = summary_from(tx_stream, tx_values);
-    if (result.faulty) {
+    if (faulty) {
       result.pdr = summary_from(pdr_stream, pdr_values);
       result.energy = summary_from(energy_stream, energy_values);
     }
   }
+  return result;
+}
+
+JobResult execute_job(const CampaignPlan& plan, const JobSpec& job,
+                      const Graph& g, CampaignTelemetry* telemetry,
+                      ThreadPool* pool) {
+  obs::TraceSpan job_span(telemetry != nullptr ? telemetry->trace() : nullptr,
+                          "job", "job " + std::to_string(job.index));
+  // Optional fault layer: one immutable model per job, shared by every
+  // workspace, so every trial of the job runs the fault-aware rounds. With
+  // no [faults] section no process is touched and the legacy path stays
+  // byte-identical.
+  std::unique_ptr<FaultModel> fault_model;
+  if (!job.faults.empty()) {
+    fault_model = std::make_unique<FaultModel>(
+        g.num_vertices(), parse_fault_options(job.faults));
+  }
+  const auto make_process = [&]() -> std::unique_ptr<Process> {
+    // Qualified: the enclosing cobra:: namespace has the factory overload.
+    auto process = scenario::make_process(g, job.process);
+    if (fault_model != nullptr) process->set_fault_model(fault_model.get());
+    return process;
+  };
+  const auto starts = spreadable_starts(g);
+  const std::uint64_t job_seed = mix64(plan.base_seed, job.index);
+  obs::TraceSpan trials_span(
+      telemetry != nullptr ? telemetry->trace() : nullptr, "trials");
+  // Per-round telemetry records the first rounds_trials trials of the job
+  // through the out-of-band observer hook (results are independent of
+  // attached observers — re-verified in obs_test). Those trials run first,
+  // scalar and in order on this thread, so rounds.jsonl is the same at
+  // every thread count and batch width.
+  std::vector<SpreadResult> trials;
+  if (telemetry != nullptr && telemetry->rounds() != nullptr) {
+    obs::RoundRecorder recorder(telemetry->config().rounds_sample_every,
+                                telemetry->rounds(), job.index);
+    const TrialOptions recorded{
+        std::min(telemetry->config().rounds_trials, plan.trials), job_seed};
+    trials = run_process_trials(
+        recorded,
+        [&] {
+          auto process = make_process();
+          process->set_observer(&recorder);
+          return process;
+        },
+        starts);
+    recorder.finish();
+  }
+  // The rest run on the campaign's pool, in lockstep blocks when
+  // [engine] batch >= 2 and the process has a batched engine. Every
+  // per-trial SpreadResult is bitwise-identical either way, so the
+  // aggregates, journal and sinks cannot tell the engines apart.
+  const TrialOptions rest{plan.trials - trials.size(), job_seed,
+                          trials.size()};
+  std::vector<SpreadResult> rest_results =
+      run_process_trials(rest, make_process, starts, pool, plan.batch);
+  trials.insert(trials.end(), std::make_move_iterator(rest_results.begin()),
+                std::make_move_iterator(rest_results.end()));
+  JobResult result =
+      summarize_trials(trials, fault_model != nullptr, telemetry);
+  result.graph_name = g.name();
   return result;
 }
 
@@ -466,8 +466,9 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
       try {
         (void)parse_fault_options(job.faults);
       } catch (const std::invalid_argument& e) {
+        // parse_fault_options names the [faults] section itself.
         throw SpecError(spec.source() + ": job " + std::to_string(index) +
-                        ": [faults] " + e.what());
+                        ": " + e.what());
       }
     }
     plan.jobs.push_back(std::move(job));
@@ -501,8 +502,8 @@ Graph build_campaign_graph(const CampaignPlan& plan, const JobSpec& job) {
 }
 
 JobResult execute_campaign_job(const CampaignPlan& plan, const JobSpec& job,
-                               const Graph& g) {
-  return execute_job(plan, job, g, nullptr);
+                               const Graph& g, ThreadPool* pool) {
+  return execute_job(plan, job, g, nullptr, pool);
 }
 
 void write_campaign_sinks(const CampaignPlan& plan,
@@ -584,6 +585,14 @@ CampaignResult run_campaign(const CampaignPlan& plan,
   });
   for (const std::size_t index : pending) cache.expect(plan.jobs[index]);
 
+  // One pool for both levels: jobs are parallel_for tasks on it, and each
+  // job runs its trials as a nested parallel_for on the same pool.
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) {
+    pool = std::make_unique<ThreadPool>(threads);
+    if (telemetry != nullptr) pool->enable_telemetry();
+  }
+
   std::mutex mutex;
   std::string first_error;
   bool errored = false;
@@ -618,7 +627,8 @@ CampaignResult run_campaign(const CampaignPlan& plan,
         }
       }
       Stopwatch job_watch;
-      JobResult job_result = execute_job(plan, job, *graph, telemetry.get());
+      JobResult job_result =
+          execute_job(plan, job, *graph, telemetry.get(), pool.get());
       cache.release(job);
       if (telemetry != nullptr) {
         telemetry->metrics().observe(telemetry->job_seconds,
@@ -645,12 +655,6 @@ CampaignResult run_campaign(const CampaignPlan& plan,
       }
     }
   };
-
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) {
-    pool = std::make_unique<ThreadPool>(threads);
-    if (telemetry != nullptr) pool->enable_telemetry();
-  }
 
   // The live reporter samples worker-owned relaxed cells and the merged
   // metrics shards; it never blocks the workers.

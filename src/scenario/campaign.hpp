@@ -33,6 +33,10 @@
 #include "stats/online.hpp"
 #include "stats/summary.hpp"
 
+namespace cobra {
+class ThreadPool;
+}
+
 namespace cobra::scenario {
 
 /// One fully resolved grid point.
@@ -142,8 +146,10 @@ Graph build_campaign_graph(const CampaignPlan& plan, const JobSpec& job);
 /// shard-scoped execution path the distributed worker drives. Identical to
 /// what run_campaign does per job (same seeding, same fault wiring), so a
 /// result computed remotely serializes byte-identically to a local one.
+/// The job's trials run on `pool` (nullptr = the calling thread), which
+/// may be the pool whose task is calling.
 JobResult execute_campaign_job(const CampaignPlan& plan, const JobSpec& job,
-                               const Graph& g);
+                               const Graph& g, ThreadPool* pool = nullptr);
 
 /// Writes `<stem>.jsonl` / `<stem>.csv` for a complete result set, in job
 /// order — deterministic and byte-identical however the results were

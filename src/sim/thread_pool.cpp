@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace cobra {
 
@@ -12,6 +13,8 @@ namespace {
 // runs on a worker (slot index + 1) or on the calling thread (slot 0).
 thread_local const ThreadPool* t_owner = nullptr;
 thread_local std::size_t t_slot = 0;
+// True while this thread runs a timed chunk body.
+thread_local bool t_in_chunk = false;
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
@@ -70,14 +73,8 @@ void ThreadPool::submit(std::function<void()> task) {
     queued.fn = std::move(task);
     if (!slots_.empty()) queued.enqueued = std::chrono::steady_clock::now();
     queue_.push_back(std::move(queued));
-    ++in_flight_;
   }
   task_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::parallel_for(std::size_t count,
@@ -99,35 +96,70 @@ void ThreadPool::parallel_for_stateful(
   const std::size_t participants = size() + 1;  // workers + calling thread
   const std::size_t chunk =
       std::max<std::size_t>(1, count / (participants * 8));
-  std::atomic<std::size_t> cursor{0};
-  const bool timed = !slots_.empty();
-  const auto run_participant = [this, &cursor, &make_body, chunk, count,
-                                timed] {
+  // Per-call completion state. Helpers hold it by shared_ptr: one that is
+  // popped after the caller returned finds `closed` set and does nothing.
+  struct Call {
+    std::atomic<std::size_t> cursor{0};
+    std::mutex mutex;
+    std::condition_variable finished;
+    std::size_t running = 0;  ///< helpers that joined and have not returned
+    bool closed = false;      ///< the caller stopped admitting helpers
+    std::exception_ptr error;
+  };
+  const auto call = std::make_shared<Call>();
+  const auto run_participant = [this, &c = *call, &make_body, chunk, count] {
     // Workers of this pool report into their own slot; any other thread
-    // (normally the caller) reports into slot 0.
+    // (normally the caller) reports into slot 0. A nested call inside a
+    // timed chunk is already counted by the enclosing one.
     const std::size_t slot = t_owner == this ? t_slot : 0;
-    std::function<void(std::size_t)> body = make_body();
-    while (true) {
-      const std::size_t begin =
-          cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= count) break;
-      const std::size_t end = std::min(begin + chunk, count);
-      if (timed) {
-        const auto start = std::chrono::steady_clock::now();
-        for (std::size_t i = begin; i < end; ++i) body(i);
-        slots_[slot]->chunks.add(1);
-        slots_[slot]->busy_ns.add(elapsed_ns(start));
-      } else {
-        for (std::size_t i = begin; i < end; ++i) body(i);
+    const bool timed = !slots_.empty() && !t_in_chunk;
+    std::function<void(std::size_t)> body;
+    try {
+      while (true) {
+        const std::size_t begin =
+            c.cursor.fetch_add(chunk, std::memory_order_relaxed);
+        if (begin >= count) break;
+        const std::size_t end = std::min(begin + chunk, count);
+        if (!body) body = make_body();
+        if (timed) {
+          const auto start = std::chrono::steady_clock::now();
+          t_in_chunk = true;
+          for (std::size_t i = begin; i < end; ++i) body(i);
+          t_in_chunk = false;
+          slots_[slot]->chunks.add(1);
+          slots_[slot]->busy_ns.add(elapsed_ns(start));
+        } else {
+          for (std::size_t i = begin; i < end; ++i) body(i);
+        }
       }
+    } catch (...) {
+      if (timed) t_in_chunk = false;
+      c.cursor.store(count, std::memory_order_relaxed);  // abandon the rest
+      std::lock_guard lock(c.mutex);
+      if (!c.error) c.error = std::current_exception();
     }
   };
   // No point waking more workers than there are chunks to claim.
   const std::size_t helpers =
       std::min(size(), (count + chunk - 1) / chunk);
-  for (std::size_t w = 0; w < helpers; ++w) submit(run_participant);
+  for (std::size_t w = 0; w < helpers; ++w) {
+    submit([call, run_participant] {
+      {
+        std::lock_guard lock(call->mutex);
+        if (call->closed) return;
+        ++call->running;
+      }
+      run_participant();
+      std::lock_guard lock(call->mutex);
+      if (--call->running == 0 && call->closed) call->finished.notify_all();
+    });
+  }
   run_participant();  // the calling thread claims chunks too
-  wait_idle();
+  // Every index is claimed; wait only for helpers still inside a chunk.
+  std::unique_lock lock(call->mutex);
+  call->closed = true;
+  call->finished.wait(lock, [&call] { return call->running == 0; });
+  if (call->error) std::rethrow_exception(call->error);
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
@@ -151,10 +183,6 @@ void ThreadPool::worker_loop(std::size_t index) {
       slots_[index + 1]->queue_wait_ns.add(elapsed_ns(task.enqueued));
     }
     task.fn();
-    {
-      std::lock_guard lock(mutex_);
-      if (--in_flight_ == 0) idle_.notify_all();
-    }
   }
 }
 

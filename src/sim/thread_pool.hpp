@@ -1,12 +1,17 @@
 // SPDX-License-Identifier: MIT
 //
-// Minimal fixed-size thread pool for embarrassingly parallel Monte Carlo
-// trials. Tasks are void() closures. parallel_for dispatches an index
-// range via chunked atomic-counter work claiming: workers (and the calling
-// thread) fetch_add a shared cursor to claim chunks, so per-index dispatch
-// costs one relaxed atomic per chunk instead of a mutex-guarded deque
-// round-trip per task. Determinism note: the trial runner seeds each trial
-// from its *index*, so results are identical whatever thread executes it.
+// Fixed-size thread pool shared by a whole run: run_campaign (and each
+// fabric worker) owns one, and both levels of work — jobs, and the
+// trials inside a job — are parallel_for calls on it. parallel_for
+// dispatches an index range via chunked atomic-counter work claiming:
+// helper tasks (and the calling thread) fetch_add a per-call cursor to
+// claim chunks, so per-index dispatch costs one relaxed atomic per chunk
+// instead of a mutex-guarded deque round-trip per task. Completion is per
+// call, so parallel_for may be called from inside a task of the same
+// pool: the caller waits only for helpers that actually started on its
+// range, never for queued ones or for unrelated tasks. Determinism note:
+// the trial runner seeds each trial from its *index*, so results are
+// identical whatever thread executes it.
 #pragma once
 
 #include <chrono>
@@ -38,21 +43,25 @@ class ThreadPool {
 
   /// Enqueues a task. Tasks must not throw — exceptions would cross thread
   /// boundaries; wrap fallible work and capture errors in the closure.
+  /// There is no pool-wide wait (a task waiting for the whole pool would
+  /// wait for itself): completion is per parallel_for call, and the
+  /// destructor drains whatever is still queued.
   void submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
-  /// Runs fn(i) for i in [0, count) across the pool and waits. The calling
-  /// thread participates in the work claiming.
+  /// Runs fn(i) for i in [0, count) across the pool and waits for this
+  /// range only. The calling thread participates in the work claiming, and
+  /// may itself be a task of this pool. If fn throws, the remaining
+  /// indices are abandoned and the first exception is rethrown here once
+  /// every started helper has returned.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Per-worker-state variant: every participating thread (workers and the
-  /// caller) invokes make_body() exactly once — from its own thread, so
-  /// make_body must be thread-safe — and then runs the returned body for
-  /// each index it claims. This is how trial loops get one reusable
-  /// workspace per thread instead of one per trial.
+  /// Per-worker-state variant: every participating thread (helpers and the
+  /// caller) that claims at least one chunk invokes make_body() exactly
+  /// once — from its own thread, so make_body must be thread-safe — and
+  /// then runs the returned body for each index it claims. This is how
+  /// trial loops get one reusable workspace per thread instead of one per
+  /// trial. Exceptions behave as in parallel_for.
   void parallel_for_stateful(
       std::size_t count,
       const std::function<std::function<void(std::size_t)>()>& make_body);
@@ -93,8 +102,6 @@ class ThreadPool {
   std::deque<QueuedTask> queue_;
   std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
   /// Empty = telemetry off; else size() + 1 slots (caller + workers).
   /// unique_ptr keeps cell addresses stable and slots cache-line apart.

@@ -7,71 +7,43 @@
 
 namespace cobra {
 
-std::vector<double> run_trials(
-    const TrialOptions& options,
-    const std::function<double(std::size_t, Rng&)>& fn) {
-  return run_trials_collect<double>(options, fn);
-}
-
 std::vector<SpreadResult> run_process_trials(
     const TrialOptions& options,
     const std::function<std::unique_ptr<Process>()>& make_process,
-    std::span<const Vertex> starts) {
+    std::span<const Vertex> starts, ThreadPool* pool, std::size_t batch) {
   std::vector<SpreadResult> results(options.trials);
-  const auto run_trial = [&](std::size_t i, Process& process) {
-    results[i] = process.run(Rng::for_trial(options.base_seed, i),
-                             starts[i % starts.size()]);
-  };
-  if (options.threads == 0) {
-    const std::unique_ptr<Process> process = make_process();
-    for (std::size_t i = 0; i < options.trials; ++i) run_trial(i, *process);
-    return results;
+  if (options.trials == 0) return results;
+  // Probe once: an unsupported process, fault model or batch runs scalar.
+  if (batch < 2 || make_batched_engine(*make_process(), batch) == nullptr) {
+    batch = 1;
   }
-  ThreadPool pool(options.threads);
-  pool.parallel_for_stateful(options.trials, [&]() {
-    // One workspace per participating thread (shared_ptr keeps the body
-    // copyable for std::function).
-    auto process = std::shared_ptr<Process>(make_process());
-    return [&, process](std::size_t i) { run_trial(i, *process); };
-  });
-  return results;
-}
-
-std::vector<SpreadResult> run_process_trials_batched(
-    const TrialOptions& options,
-    const std::function<std::unique_ptr<Process>()>& make_process,
-    std::span<const Vertex> starts, std::size_t batch) {
-  {
-    // Probe once: unsupported process / fault model / batch -> scalar.
-    const std::unique_ptr<Process> prototype = make_process();
-    if (make_batched_engine(*prototype, batch) == nullptr) {
-      return run_process_trials(options, make_process, starts);
+  // One task per trial (scalar) or per block of `batch` trials (lockstep);
+  // each writes only its own result slots.
+  const auto make_body = [&]() -> std::function<void(std::size_t)> {
+    if (batch == 1) {
+      std::shared_ptr<Process> process = make_process();
+      return [&, process](std::size_t i) {
+        const std::size_t t = options.first + i;
+        results[i] = process->run(Rng::for_trial(options.base_seed, t),
+                                  starts[t % starts.size()]);
+      };
     }
-  }
-  std::vector<SpreadResult> results(options.trials);
-  const std::size_t blocks = (options.trials + batch - 1) / batch;
-  const auto run_block = [&](std::size_t b, BatchedEngine& engine) {
-    const std::size_t first = b * batch;
-    const std::size_t count = std::min(batch, options.trials - first);
-    engine.run_block(options.base_seed, first, count, starts,
-                     results.data() + first);
+    std::shared_ptr<BatchedEngine> engine =
+        make_batched_engine(*make_process(), batch);
+    return [&, engine](std::size_t block) {
+      const std::size_t i = block * batch;
+      engine->run_block(options.base_seed, options.first + i,
+                        std::min(batch, options.trials - i), starts,
+                        results.data() + i);
+    };
   };
-  if (options.threads == 0) {
-    const std::unique_ptr<Process> prototype = make_process();
-    const auto engine = make_batched_engine(*prototype, batch);
-    for (std::size_t b = 0; b < blocks; ++b) run_block(b, *engine);
-    return results;
+  const std::size_t tasks = (options.trials + batch - 1) / batch;
+  if (pool != nullptr) {
+    pool->parallel_for_stateful(tasks, make_body);
+  } else {
+    const auto body = make_body();
+    for (std::size_t task = 0; task < tasks; ++task) body(task);
   }
-  ThreadPool pool(options.threads);
-  pool.parallel_for_stateful(blocks, [&]() {
-    // One engine workspace per participating thread (shared_ptr keeps the
-    // body copyable for std::function); blocks are independent, so the
-    // schedule cannot affect the per-trial results.
-    const std::unique_ptr<Process> prototype = make_process();
-    auto engine =
-        std::shared_ptr<BatchedEngine>(make_batched_engine(*prototype, batch));
-    return [&, engine](std::size_t b) { run_block(b, *engine); };
-  });
   return results;
 }
 

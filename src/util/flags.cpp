@@ -14,7 +14,7 @@ Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (!arg.starts_with("--")) {
-      positionals_.emplace_back(arg);
+      words_.push_back({std::string(arg), ""});
       continue;
     }
     arg.remove_prefix(2);
@@ -26,11 +26,33 @@ Flags::Flags(int argc, const char* const* argv) {
     // otherwise.
     if (i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--") {
       values_[std::string(arg)] = argv[i + 1];
+      words_.push_back({argv[i + 1], std::string(arg)});
       ++i;
     } else {
       values_[std::string(arg)] = "";
     }
   }
+}
+
+bool Flags::is_switch(const std::string& name) const {
+  const auto queried =
+      std::find_if(queried_.begin(), queried_.end(),
+                   [&name](const FlagQuery& q) { return q.name == name; });
+  return queried != queried_.end() && !read_as_value_.contains(name) &&
+         (queried->kind == "flag" || queried->kind == "bool");
+}
+
+const std::vector<std::string>& Flags::positionals() const {
+  std::vector<std::string> current;
+  for (const Word& word : words_) {
+    if (word.owner.empty() || is_switch(word.owner)) {
+      current.push_back(word.text);
+    }
+  }
+  // Replaced only when a query since the last call changed the set, so
+  // references into an unchanged result stay valid.
+  if (current != positionals_) positionals_ = std::move(current);
+  return positionals_;
 }
 
 void Flags::record_query(std::string_view name, std::string_view kind,
@@ -55,6 +77,7 @@ std::string Flags::get(std::string_view name, std::string_view fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return std::string(fallback);
   consumed_[it->first] = true;
+  read_as_value_.insert(it->first);
   return it->second;
 }
 
@@ -63,6 +86,7 @@ std::int64_t Flags::get_int(std::string_view name, std::int64_t fallback) const 
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   consumed_[it->first] = true;
+  read_as_value_.insert(it->first);
   std::int64_t value = 0;
   const auto& text = it->second;
   const auto [ptr, ec] =
@@ -83,6 +107,7 @@ double Flags::get_double(std::string_view name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   consumed_[it->first] = true;
+  read_as_value_.insert(it->first);
   try {
     std::size_t used = 0;
     const double value = std::stod(it->second, &used);
@@ -102,10 +127,20 @@ bool Flags::get_bool(std::string_view name, bool fallback) const {
   if (it == values_.end()) return fallback;
   consumed_[it->first] = true;
   const auto& text = it->second;
-  if (text.empty() || text == "1" || text == "true" || text == "yes") {
+  if (text.empty()) return true;
+  if (text == "1" || text == "true" || text == "yes") {
+    read_as_value_.insert(it->first);
     return true;
   }
-  if (text == "0" || text == "false" || text == "no") return false;
+  if (text == "0" || text == "false" || text == "no") {
+    read_as_value_.insert(it->first);
+    return false;
+  }
+  // A word taken from the next argument was not meant for this switch.
+  if (std::any_of(words_.begin(), words_.end(),
+                  [&](const Word& w) { return w.owner == it->first; })) {
+    return true;
+  }
   throw std::invalid_argument("flag --" + it->first +
                               " expects a boolean, got '" + text + "'");
 }

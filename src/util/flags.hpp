@@ -2,8 +2,12 @@
 //
 // A minimal command-line flag parser for the experiment harnesses and
 // examples. Supports --name=value, --name value, and bare boolean --name.
-// Unknown flags are collected so binaries can warn instead of crashing
-// (google-benchmark passes its own flags through the same argv).
+// "--name value" is ambiguous for a switch: when the program reads --name
+// only through has()/get_bool() (and get_bool cannot read the word as a
+// boolean), the word was not its value, and positionals() keeps it at its
+// original place. Unknown flags are collected so binaries can warn instead
+// of crashing (google-benchmark passes its own flags through the same
+// argv).
 //
 // Every get*/has call is additionally recorded as a FlagQuery (name, type,
 // default), so a binary can generate its own --help text from the flags it
@@ -13,6 +17,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +47,10 @@ class Flags {
   double get_double(std::string_view name, double fallback) const;
   bool get_bool(std::string_view name, bool fallback) const;
 
-  const std::vector<std::string>& positionals() const { return positionals_; }
+  /// Arguments not starting with "--", in command-line order, including
+  /// the words that switches read so far took from the next argument.
+  /// The reference stays valid until a later query changes that set.
+  const std::vector<std::string>& positionals() const;
 
   /// Names seen on the command line but never queried via get*/has.
   /// Call at the end of main to warn about typos.
@@ -67,10 +75,24 @@ class Flags {
   void record_query(std::string_view name, std::string_view kind,
                     std::string fallback) const;
 
+  /// A non-flag word; `owner` names the flag that took it as its value
+  /// ("" for a plain positional).
+  struct Word {
+    std::string text;
+    std::string owner;
+  };
+
+  /// True when `name` took the next word and was read only as a switch.
+  bool is_switch(const std::string& name) const;
+
   std::map<std::string, std::string, std::less<>> values_;
   mutable std::map<std::string, bool, std::less<>> consumed_;
   mutable std::vector<FlagQuery> queried_;
-  std::vector<std::string> positionals_;
+  std::vector<Word> words_;
+  /// Flags whose word was read as their value (get/get_int/get_double, or
+  /// a boolean word through get_bool).
+  mutable std::set<std::string, std::less<>> read_as_value_;
+  mutable std::vector<std::string> positionals_;
 };
 
 }  // namespace cobra

@@ -5,7 +5,7 @@
 // bitwise-identical to the scalar Process path — same RNG streams, same
 // draw order, whole-struct equality. Exercised here for every supported
 // process across graph families x seeds x batch sizes, plus the
-// thread-count independence of run_process_trials_batched, variant
+// thread-count independence of batched run_process_trials, variant
 // options (weighted draws, curves off), the scalar fallback conditions
 // (COBRA and BIPS included), and the workspace estimator.
 #include <memory>
@@ -172,9 +172,10 @@ TEST(BatchedRunner, ThreadCountIndependent) {
   const auto scalar = run_process_trials(options, make_process, starts);
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
                                     std::size_t{8}}) {
-    options.threads = threads;
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     const auto batched =
-        run_process_trials_batched(options, make_process, starts, 8);
+        run_process_trials(options, make_process, starts, pool.get(), 8);
     EXPECT_EQ(scalar, batched) << "threads=" << threads;
   }
 }
@@ -201,8 +202,8 @@ TEST(BatchedRunner, FallsBackWhenUnsupported) {
   } cases[] = {{&make_cobra, 1}, {&make_cobra, 8}, {&make_bips, 8}};
   for (const auto& c : cases) {
     const auto scalar = run_process_trials(options, *c.make_process, starts);
-    const auto fallback =
-        run_process_trials_batched(options, *c.make_process, starts, c.batch);
+    const auto fallback = run_process_trials(options, *c.make_process,
+                                             starts, nullptr, c.batch);
     EXPECT_EQ(scalar, fallback) << "batch=" << c.batch;
   }
 }

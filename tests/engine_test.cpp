@@ -34,24 +34,27 @@ std::vector<Vertex> all_vertices(const Graph& g) {
   return starts;
 }
 
+// threads = 0 runs on the calling thread; otherwise on a pool that size.
 std::vector<SpreadResult> cobra_trials(const Graph& g, std::size_t threads,
                                        CobraOptions options) {
   TrialOptions trials;
   trials.trials = 48;
-  trials.threads = threads;
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
   return run_process_trials(
       trials, [&] { return std::make_unique<CobraProcess>(g, 0, options); },
-      all_vertices(g));
+      all_vertices(g), pool.get());
 }
 
 std::vector<SpreadResult> bips_trials(const Graph& g, std::size_t threads) {
   TrialOptions trials;
   trials.trials = 48;
-  trials.threads = threads;
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
   return run_process_trials(
       trials,
       [&] { return std::make_unique<BipsProcess>(g, 0, BipsOptions{}); },
-      all_vertices(g));
+      all_vertices(g), pool.get());
 }
 
 TEST(EngineDeterminism, CobraIdenticalAcrossThreadCounts) {
@@ -74,17 +77,15 @@ TEST(EngineDeterminism, BipsIdenticalAcrossThreadCounts) {
 
 TEST(EngineDeterminism, WorkspaceReuseMatchesFreshConstruction) {
   const Graph g = test_expander(512);
-  TrialOptions trials;
-  trials.trials = 32;
-  const auto fresh = run_trials_collect<SpreadResult>(
-      trials, [&](std::size_t i, Rng& rng) {
-        const auto start = static_cast<Vertex>(i % g.num_vertices());
-        return CobraProcess(g, start, CobraOptions{}).run(rng, start);
-      });
+  const TrialOptions trials;  // the default base seed cobra_trials uses
   const auto reused = cobra_trials(g, 0, {});
-  ASSERT_EQ(fresh.size(), 32u);  // prefix of the 48 reused trials
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(fresh[i], reused[i]) << "trial " << i;
+  // A fresh process per trial must match the first 32 of the 48 trials
+  // that reused one workspace.
+  for (std::size_t i = 0; i < 32; ++i) {
+    const auto start = static_cast<Vertex>(i % g.num_vertices());
+    const SpreadResult fresh = CobraProcess(g, start, CobraOptions{}).run(
+        Rng::for_trial(trials.base_seed, i), start);
+    EXPECT_EQ(fresh, reused[i]) << "trial " << i;
   }
 }
 

@@ -311,7 +311,8 @@ TEST(FaultsSpec, RejectsUnknownKeysAndMalformedValues) {
               "[faults]\ndrop = " + value + "\n",
               "s.scenario"));
         },
-        "parameter 'drop' expects a number, got '" + value + "'");
+        "job 0: [faults]: parameter 'drop' expects a number, got '" + value +
+            "'");
   }
   expect_spec_error(
       [] {

@@ -300,15 +300,13 @@ TEST(ProcessTrials, ThreadCountIndependent) {
   std::vector<Vertex> starts(g.num_vertices());
   for (Vertex v = 0; v < g.num_vertices(); ++v) starts[v] = v;
   for (const std::string& name : {"cobra", "push-pull"}) {
-    TrialOptions serial;
-    serial.trials = 12;
-    serial.base_seed = 77;
-    serial.threads = 0;
-    TrialOptions pooled = serial;
-    pooled.threads = 4;
+    TrialOptions options;
+    options.trials = 12;
+    options.base_seed = 77;
+    ThreadPool pool(4);
     const auto make = [&] { return make_process(g, name, {}); };
-    const auto a = run_process_trials(serial, make, starts);
-    const auto b = run_process_trials(pooled, make, starts);
+    const auto a = run_process_trials(options, make, starts);
+    const auto b = run_process_trials(options, make, starts, &pool);
     EXPECT_EQ(a, b) << name;
   }
 }

@@ -435,6 +435,66 @@ name = push-pull
             read_file(batched_stem + ".csv"));
 }
 
+TEST(Campaign, OneJobIsByteIdenticalAtEveryThreadCountAndBatch) {
+  // One job's trials are tasks on the campaign pool (nested inside the job
+  // task) and, at batch 8, lockstep blocks: the result sinks and the
+  // rounds file must not move by a byte at any thread count or batch.
+  constexpr const char* kOneJobSpec = R"(
+[campaign]
+name = one_job
+trials = 64
+base_seed = 17
+
+[graph]
+family = random_regular
+n = 256
+r = 8
+
+[process]
+name = push-pull
+
+[telemetry]
+rounds = 1
+rounds_trials = 3
+)";
+  std::string reference[3];
+  for (const std::size_t batch : {1u, 8u}) {
+    auto spec = ScenarioSpec::parse_string(kOneJobSpec);
+    spec.set("engine", "batch", std::to_string(batch));
+    const auto plan = plan_campaign(spec);
+    ASSERT_EQ(plan.jobs.size(), 1u);
+    for (const std::size_t threads : {0u, 1u, 4u}) {
+      const std::string stem = ::testing::TempDir() + "scenario_one_job_b" +
+                               std::to_string(batch) + "_t" +
+                               std::to_string(threads);
+      for (const auto& ext : {".journal", ".jsonl", ".csv", ".rounds.jsonl"}) {
+        std::remove((stem + ext).c_str());
+      }
+      CampaignOptions options;
+      options.threads = threads;
+      options.output = stem;
+      ASSERT_TRUE(run_campaign(plan, options).complete);
+      const std::string outputs[3] = {read_file(stem + ".jsonl"),
+                                      read_file(stem + ".csv"),
+                                      read_file(stem + ".rounds.jsonl")};
+      if (reference[0].empty()) {
+        for (int i = 0; i < 3; ++i) {
+          ASSERT_FALSE(outputs[i].empty());
+          reference[i] = outputs[i];
+        }
+        // rounds_trials = 3: trials 0..2 are recorded, the last included.
+        EXPECT_NE(reference[2].find("\"trial\":2,"), std::string::npos);
+        EXPECT_EQ(reference[2].find("\"trial\":3,"), std::string::npos);
+        continue;
+      }
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(outputs[i], reference[i])
+            << "batch=" << batch << " threads=" << threads << " file " << i;
+      }
+    }
+  }
+}
+
 TEST(Campaign, BatchedEngineFallsBackPerJob) {
   // flood, bips and cobra have no batched engine and the faulted axis
   // forces the scalar path for every process — all must degrade silently

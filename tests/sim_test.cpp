@@ -4,10 +4,12 @@
 // determinism (serial == pooled), and the sweep measurement helpers.
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cobra.hpp"
 #include "graph/generators.hpp"
 #include "sim/sweep.hpp"
 #include "sim/thread_pool.hpp"
@@ -17,12 +19,13 @@ namespace cobra {
 namespace {
 
 TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // the destructor drains the queue before joining
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -42,9 +45,8 @@ TEST(ThreadPoolTest, ParallelForEmptyAndSingle) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
+TEST(ThreadPoolTest, IdlePoolDestructsPromptly) {
+  { ThreadPool pool(2); }  // must not hang
   SUCCEED();
 }
 
@@ -53,39 +55,88 @@ TEST(ThreadPoolTest, SizeReflectsConstruction) {
   EXPECT_EQ(pool.size(), 5u);
 }
 
+TEST(ThreadPoolTest, NestedParallelForOnTheSamePool) {
+  // An outer parallel_for whose every task runs an inner parallel_for on
+  // the same pool: the shape of a campaign (jobs) running a job's trials.
+  // Each inner call must wait only for its own range, never for the
+  // enclosing task, and every (i, j) must be visited exactly once.
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 1000;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    pool.parallel_for(kOuter, [&](std::size_t i) {
+      pool.parallel_for(kInner, [&](std::size_t j) {
+        hits[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+    for (std::size_t k = 0; k < hits.size(); ++k) {
+      ASSERT_EQ(hits[k].load(), 1) << "threads=" << threads << " k=" << k;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsOnTheCaller) {
+  // A throwing index must not end the program on a worker: the first
+  // exception reaches the caller once the started helpers have returned.
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.parallel_for(500,
+                                 [](std::size_t i) {
+                                   if (i == 7) throw std::runtime_error("x");
+                                 }),
+               std::runtime_error);
+  // The pool stays usable afterwards.
+  std::atomic<int> counter{0};
+  pool.parallel_for(100, [&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 100);
+}
+
+// Trial results through run_process_trials on a scalar process.
+std::vector<SpreadResult> cobra_trials(const Graph& g,
+                                       const TrialOptions& options,
+                                       ThreadPool* pool) {
+  const std::vector<Vertex> starts = {0, 3, 5};
+  return run_process_trials(
+      options, [&] { return std::make_unique<CobraProcess>(g, 0); }, starts,
+      pool);
+}
+
 TEST(TrialRunner, SerialEqualsParallel) {
-  const auto fn = [](std::size_t i, Rng& rng) {
-    // A value depending on both index and stream.
-    return static_cast<double>(i) + rng.next_double();
-  };
-  TrialOptions serial;
-  serial.trials = 64;
-  serial.threads = 0;
-  TrialOptions parallel = serial;
-  parallel.threads = 4;
-  const auto a = run_trials(serial, fn);
-  const auto b = run_trials(parallel, fn);
-  EXPECT_EQ(a, b);
+  const Graph g = gen::petersen();
+  TrialOptions options;
+  options.trials = 64;
+  ThreadPool pool(4);
+  EXPECT_EQ(cobra_trials(g, options, nullptr),
+            cobra_trials(g, options, &pool));
 }
 
 TEST(TrialRunner, BaseSeedChangesResults) {
-  const auto fn = [](std::size_t, Rng& rng) { return rng.next_double(); };
+  const Graph g = gen::cycle(64);
   TrialOptions opt1;
   opt1.trials = 16;
   opt1.base_seed = 1;
   TrialOptions opt2 = opt1;
   opt2.base_seed = 2;
-  EXPECT_NE(run_trials(opt1, fn), run_trials(opt2, fn));
+  EXPECT_NE(cobra_trials(g, opt1, nullptr), cobra_trials(g, opt2, nullptr));
 }
 
 TEST(TrialRunner, ResultsAreTrialOrdered) {
-  const auto fn = [](std::size_t i, Rng&) { return static_cast<double>(i); };
-  TrialOptions options;
-  options.trials = 32;
-  options.threads = 4;
-  const auto results = run_trials(options, fn);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], static_cast<double>(i));
+  // Result k is trial first + k: a call starting at trial 10 reproduces the
+  // tail of a call starting at 0, on the calling thread or on a pool.
+  const Graph g = gen::cycle(64);
+  TrialOptions all;
+  all.trials = 32;
+  TrialOptions tail = all;
+  tail.first = 10;
+  tail.trials = 22;
+  ThreadPool pool(4);
+  const auto expected = cobra_trials(g, all, nullptr);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const auto results = cobra_trials(g, tail, p);
+    ASSERT_EQ(results.size(), 22u);
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      EXPECT_EQ(results[k], expected[10 + k]) << "k=" << k;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 // Utility module tests: flag parsing, table rendering, scale resolution.
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -75,6 +77,36 @@ TEST(FlagsTest, Positionals) {
   ASSERT_EQ(flags.positionals().size(), 2u);
   EXPECT_EQ(flags.positionals()[0], "input.txt");
   EXPECT_EQ(flags.positionals()[1], "other");
+}
+
+TEST(FlagsTest, SwitchReturnsTheWordItTookToPositionals) {
+  // graph_convert --generate SPEC --shards 1 --in-core b.cgr: --in-core is
+  // read only as a switch, so b.cgr is the output positional, not its
+  // value; --shards reads its word as a value and keeps it.
+  const auto flags = make_flags({"--generate", "family=erdos_renyi,n=50,p=1",
+                                 "--shards", "1", "--in-core", "b.cgr"});
+  EXPECT_EQ(flags.get("generate", ""), "family=erdos_renyi,n=50,p=1");
+  EXPECT_EQ(flags.get_int("shards", 0), 1);
+  EXPECT_TRUE(flags.has("in-core"));
+  EXPECT_EQ(flags.positionals(), std::vector<std::string>{"b.cgr"});
+
+  // The word goes back at its original place among the positionals, and
+  // get_bool reads the flag as a bare switch.
+  const auto ordered =
+      make_flags({"first", "--verbose", "middle", "--level", "3", "last"});
+  EXPECT_TRUE(ordered.get_bool("verbose", false));
+  EXPECT_EQ(ordered.get_int("level", 0), 3);
+  EXPECT_EQ(ordered.positionals(),
+            (std::vector<std::string>{"first", "middle", "last"}));
+
+  // A word the program reads as the flag's value stays its value, even if
+  // the flag was first checked with has(); a boolean word stays the
+  // switch's value.
+  const auto valued = make_flags({"--trace", "out.json", "--x", "false"});
+  EXPECT_TRUE(valued.has("trace"));
+  EXPECT_EQ(valued.get("trace", ""), "out.json");
+  EXPECT_FALSE(valued.get_bool("x", true));
+  EXPECT_TRUE(valued.positionals().empty());
 }
 
 TEST(FlagsTest, NegativeNumberAsValue) {

@@ -155,14 +155,14 @@ void write_status(const std::string& path, const StatusReport& r) {
 }
 
 int run_generate(const std::string& spec_text, const std::string& output,
-                 const Flags& flags, const std::string& status_path) {
+                 const Flags& flags, bool in_core,
+                 const std::string& status_path) {
   const auto spec = parse_spec(spec_text);
   const std::string family = spec_value(spec, "family");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::uint64_t budget = parse_size(flags.get("mem-budget", "256M"));
   const auto shards = static_cast<std::uint64_t>(flags.get_int("shards", 0));
   const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  const bool in_core = flags.has("in-core");
   const std::string weight_name = flags.get("weights", "");
   const auto weight_seed =
       static_cast<std::uint64_t>(flags.get_int("weight-seed", 0));
@@ -250,6 +250,9 @@ int main(int argc, char** argv) {
   const bool dedup = flags.has("dedup");
   const bool strip_weights = flags.has("strip-weights");
   const bool use_mmap = flags.has("mmap");
+  // Read before positionals(): a switch given a following word returns it
+  // to the positionals ("--in-core out.cgr").
+  const bool in_core = flags.has("in-core");
   const std::string name_override = flags.get("name", "");
   const std::string generate = flags.get("generate", "");
   const std::string status_path = flags.get("status", "");
@@ -283,7 +286,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       const std::string output = flags.positionals()[0];
-      return run_generate(generate, output, flags, status_path);
+      return run_generate(generate, output, flags, in_core, status_path);
     }
 
     if (flags.positionals().size() != 2) {
