@@ -139,30 +139,6 @@ RegularRow measure_regular(std::size_t n, std::size_t r, std::uint64_t seed,
   return row;
 }
 
-std::string cpu_model() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) {
-        const auto begin = line.find_first_not_of(' ', colon + 1);
-        return begin == std::string::npos ? "" : line.substr(begin);
-      }
-    }
-  }
-  return "unknown";
-}
-
-std::string json_escaped(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Weighted-substrate row: synthetic weight generation, alias-table
 /// construction, and the per-draw cost of weighted vs uniform neighbour
 /// picks on the same instance.
@@ -419,13 +395,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"graphgen\",\n"
-               "  \"host\": {\"nproc\": %u, \"cpu_model\": \"%s\",\n"
-               "           \"build_info\": \"%s\"},\n"
+               "  \"host\": %s,\n"
                "  \"scale\": \"%s\",\n"
                "  \"threads\": %zu,\n  \"seed\": %llu,\n  \"rows\": [\n",
-               std::thread::hardware_concurrency(),
-               json_escaped(cpu_model()).c_str(),
-               json_escaped(build_info_string()).c_str(), scale.name().c_str(),
+               host_json().c_str(), scale.name().c_str(),
                threads, static_cast<unsigned long long>(seed));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     emit_row(f, rows[i], i + 1 == rows.size());

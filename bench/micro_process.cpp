@@ -7,7 +7,10 @@
 // operator new/delete are overridden with counting shims, so the bench
 // proves the workspace-reuse contract end to end: after the first
 // (warm-up) trial, a reset+step trial loop performs ZERO allocations for
-// every registered process. Emits machine-readable BENCH_process.json.
+// every registered process. Fault legs time cobra, push-pull and flood
+// with no fault model, an inert one, drop 0.25 and duty 3/4, in ns per
+// message (min of 5 reps). Emits machine-readable BENCH_process.json,
+// opening with a host block.
 //
 //   ./micro_process [--scale small|medium|large] [--trials N] [--seed S]
 //                   [--n N] [--out BENCH_process.json]
@@ -19,12 +22,14 @@
 #include <string>
 #include <vector>
 
+#include "core/faults.hpp"
 #include "core/process_factory.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/rounds.hpp"
 #include "rand/rng.hpp"
 #include "sim/batched.hpp"
+#include "util/build_info.hpp"
 #include "util/flags.hpp"
 #include "util/scale.hpp"
 #include "util/stopwatch.hpp"
@@ -230,6 +235,87 @@ bool bench_batched(const Graph& g, const std::string& name,
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// Fault legs: the same steady-state trial loop with a fault model attached
+// (core/faults.hpp), against the faults-off leg of the same process.
+// "inert" attaches a model whose schedules never fire, so its ratio to
+// "off" is the fault layer's bare overhead. Each leg is the min of `reps`
+// timed passes over the same trials; "off" is always the first leg.
+// ---------------------------------------------------------------------------
+
+struct FaultLeg {
+  const char* name;
+  bool attached;
+  FaultOptions options;
+};
+
+std::vector<FaultLeg> fault_legs() {
+  FaultOptions drop;
+  drop.drop = 0.25;
+  FaultOptions duty;
+  duty.duty_period = 4;
+  duty.duty_awake = 3;
+  return {{"off", false, {}},
+          {"inert", true, {}},
+          {"drop_0.25", true, drop},
+          {"duty_3/4", true, duty}};
+}
+
+struct FaultRow {
+  std::string process;
+  std::string leg;
+  std::size_t trials = 0;
+  std::uint64_t total_rounds = 0;
+  std::uint64_t messages = 0;  ///< transmissions per pass
+  double seconds = 0;          ///< min over reps
+
+  double ns_per_message() const {
+    return messages > 0 ? seconds * 1e9 / static_cast<double>(messages) : 0;
+  }
+};
+
+/// All legs of one process. The reps interleave the legs (off, inert,
+/// drop, duty, off, ...), so a load change on the host hits every leg
+/// alike and the ratios to "off" stay meaningful.
+std::vector<FaultRow> bench_fault_legs(const Graph& g, const std::string& name,
+                                       std::uint64_t seed, std::size_t trials,
+                                       std::size_t reps) {
+  const std::vector<FaultLeg> legs = fault_legs();
+  std::vector<std::unique_ptr<FaultModel>> models;
+  std::vector<std::unique_ptr<Process>> processes;
+  std::vector<FaultRow> rows(legs.size());
+  for (std::size_t l = 0; l < legs.size(); ++l) {
+    models.push_back(
+        std::make_unique<FaultModel>(g.num_vertices(), legs[l].options));
+    processes.push_back(make_process(g, name, {{"record_curve", "0"}}));
+    if (legs[l].attached) processes[l]->set_fault_model(models[l].get());
+    rows[l].process = name;
+    rows[l].leg = legs[l].name;
+    rows[l].trials = trials;
+  }
+  const std::size_t n = g.num_vertices();
+  for (std::size_t rep = 0; rep <= reps; ++rep) {  // pass 0 warms up
+    for (std::size_t l = 0; l < legs.size(); ++l) {
+      Process& process = *processes[l];
+      std::uint64_t rounds = 0;
+      std::uint64_t messages = 0;
+      Stopwatch watch;
+      for (std::size_t i = 0; i < trials; ++i) {
+        process.reset(Rng::for_trial(seed, i), static_cast<Vertex>(i % n));
+        while (!process.done()) process.step();
+        rounds += process.round();
+        messages += process.total_transmissions();
+      }
+      const double seconds = watch.seconds();
+      FaultRow& row = rows[l];
+      row.total_rounds = rounds;
+      row.messages = messages;
+      if (rep == 1 || (rep > 1 && seconds < row.seconds)) row.seconds = seconds;
+    }
+  }
+  return rows;
+}
+
 BenchRow bench_process(const Graph& g, const std::string& name,
                        ProcessParams params, std::uint64_t seed,
                        std::size_t trials) {
@@ -354,12 +440,30 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(telemetry.steady_allocations),
       telemetry_ok ? "" : "  [FAIL]");
 
+  std::printf("%-10s %-10s %12s %12s %10s\n", "faults", "leg", "messages",
+              "ns/message", "vs off");
+  std::vector<FaultRow> fault_rows;
+  for (const char* name : {"cobra", "push-pull", "flood"}) {
+    const std::vector<FaultRow> legs =
+        bench_fault_legs(g, name, seed, trials, /*reps=*/5);
+    const double off_ns = legs.front().ns_per_message();
+    for (const FaultRow& row : legs) {
+      std::printf("%-10s %-10s %12llu %12.2f %9.2fx\n", name,
+                  row.leg.c_str(),
+                  static_cast<unsigned long long>(row.messages),
+                  row.ns_per_message(),
+                  off_ns > 0 ? row.ns_per_message() / off_ns : 0.0);
+      fault_rows.push_back(row);
+    }
+  }
+
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"micro_process\",\n");
+  std::fprintf(out, "  \"host\": %s,\n", host_json().c_str());
   std::fprintf(out, "  \"scale\": \"%s\",\n", scale.name().c_str());
   std::fprintf(out, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(seed));
@@ -405,11 +509,25 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"telemetry\": {\"trials\": %zu, \"plain_seconds\": %.6f, "
                "\"telemetry_seconds\": %.6f, \"overhead_pct\": %.2f, "
-               "\"steady_allocations\": %llu, \"pass\": %s}\n",
+               "\"steady_allocations\": %llu, \"pass\": %s},\n",
                telemetry.trials, telemetry.plain_seconds,
                telemetry.telemetry_seconds, telemetry.overhead() * 100.0,
                static_cast<unsigned long long>(telemetry.steady_allocations),
                telemetry_ok ? "true" : "false");
+  std::fprintf(out, "  \"faults\": [\n");
+  for (std::size_t i = 0; i < fault_rows.size(); ++i) {
+    const FaultRow& row = fault_rows[i];
+    std::fprintf(out,
+                 "    {\"process\": \"%s\", \"leg\": \"%s\", "
+                 "\"trials\": %zu, \"reps\": 5, \"total_rounds\": %llu, "
+                 "\"messages\": %llu, \"seconds_min\": %.6f, "
+                 "\"ns_per_message\": %.3f}%s\n",
+                 row.process.c_str(), row.leg.c_str(), row.trials,
+                 static_cast<unsigned long long>(row.total_rounds),
+                 static_cast<unsigned long long>(row.messages), row.seconds,
+                 row.ns_per_message(), i + 1 < fault_rows.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());

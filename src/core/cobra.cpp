@@ -122,7 +122,15 @@ std::vector<Round> CobraProcess::first_visit_rounds() const {
   return rounds;
 }
 
-std::size_t CobraProcess::step(Rng& rng) {
+std::size_t CobraProcess::step(Rng& rng) { return run_round<false>(rng); }
+
+void CobraProcess::do_step(Rng& rng) {
+  faults() != nullptr ? run_round<true>(rng) : run_round<false>(rng);
+}
+
+template <bool kFaulty>
+std::size_t CobraProcess::run_round(Rng& rng) {
+  FaultSession* const fs = faults();  // read only when kFaulty
   const Round next_round = round_ + 1;
   const Stamp next = stamp(next_round);
   // Materialize C_t by one sequential scan if the previous round dropped
@@ -200,9 +208,10 @@ std::size_t CobraProcess::step(Rng& rng) {
 
   // The frontier is processed in small batches: all of a batch's draws are
   // made first (prefetching the visit words they will touch), then applied
-  // in draw order. Draws never read visit state, so the RNG stream and the
-  // results are identical to the fused loop — the batching only hides the
-  // random-access latency of visit[w].
+  // in draw order. Draws (and fault checks) never read visit state, and a
+  // round's outcome depends only on the set applied, so the RNG stream and
+  // the results are identical to the fused loop — the batching only hides
+  // the random-access latency of visit[w].
   constexpr std::size_t kBatchVertices = 16;
   constexpr std::size_t kBufferSize = 64;
   Vertex buffer[kBufferSize];
@@ -213,6 +222,11 @@ std::size_t CobraProcess::step(Rng& rng) {
     std::size_t batch_end = i;
     while (batch_end < frontier_count && batch_end - i < kBatchVertices) {
       const Vertex v = frontier_[batch_end];
+      if (kFaulty && !fs->can_send(v)) {
+        apply(v);  // down: the token waits in place, nothing is sent
+        ++batch_end;
+        continue;
+      }
       std::uint32_t degree;
       std::size_t begin;
       const Vertex* nbrs = neighbor_block(v, degree, begin);
@@ -223,18 +237,24 @@ std::size_t CobraProcess::step(Rng& rng) {
       // results must not depend on whether curves are recorded. Only the
       // per-round breakdown is gated (begin_round above).
       accounting_.record_vertex_send(pushes);
+      const std::uint64_t delivered = kFaulty ? fs->delivered_total() : 0;
       if (buffered + pushes > kBufferSize) {
         // Oversized branching factor: draw and apply this vertex inline.
         for (unsigned p = 0; p < pushes; ++p) {
-          apply(nbrs[draw_index(begin, degree)]);
+          const Vertex w = nbrs[draw_index(begin, degree)];
+          if (kFaulty && !fs->transmit(v, p, w)) continue;
+          apply(w);
         }
       } else {
         for (unsigned p = 0; p < pushes; ++p) {
           const Vertex w = nbrs[draw_index(begin, degree)];
+          if (kFaulty && !fs->transmit(v, p, w)) continue;
           buffer[buffered++] = w;
           __builtin_prefetch(&visit[w], 1);
         }
       }
+      // Every push lost: the token stays instead of going extinct.
+      if (kFaulty && fs->delivered_total() == delivered) apply(v);
       ++batch_end;
     }
     for (std::size_t t = 0; t < buffered; ++t) apply(buffer[t]);
@@ -256,66 +276,6 @@ std::size_t CobraProcess::step(Rng& rng) {
   visited_count_ += new_visits;
   round_ = next_round;
   return new_visits;
-}
-
-void CobraProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  const Round next_round = round_ + 1;
-  const Stamp next = stamp(next_round);
-  frontier();  // materialize C_t in ascending order (both representations)
-  next_frontier_.clear();
-  if (options_.record_curves) accounting_.begin_round();
-  std::size_t new_visits = 0;
-  std::size_t next_size = 0;
-
-  const Branching& branching = options_.branching;
-  const bool fractional = branching.is_fractional();
-  BernoulliSkipper extra(fractional ? branching.rho : 0.0);
-
-  const auto apply = [&](Vertex w) {
-    const std::uint64_t state = visit_[w];
-    if (static_cast<Stamp>(state) == next) return;  // coalesce
-    if (static_cast<Stamp>(state >> 32) >= base_) {
-      visit_[w] = (state & 0xFFFFFFFF00000000ULL) | next;
-    } else {
-      visit_[w] = (static_cast<std::uint64_t>(next) << 32) | next;
-      ++new_visits;
-    }
-    ++next_size;
-    next_frontier_.push_back(w);
-  };
-
-  for (const Vertex v : frontier_) {
-    if (!fs.can_send(v)) {
-      // Down: the token is frozen in place — no sends, no accounting.
-      apply(v);
-      continue;
-    }
-    const unsigned pushes =
-        fractional ? 1u + (extra.next(rng) ? 1u : 0u) : branching.k;
-    accounting_.record_vertex_send(pushes);
-    const auto degree = static_cast<std::uint32_t>(graph_->degree(v));
-    bool any_delivered = false;
-    for (unsigned p = 0; p < pushes; ++p) {
-      const Vertex w = options_.weighted
-                           ? alias_->draw(*graph_, v, rng)
-                           : graph_->neighbor(v, rng.next_below32(degree));
-      if (fs.transmit(v, p, w)) {
-        apply(w);
-        any_delivered = true;
-      }
-    }
-    // Every push lost/blocked: the token is retained, not extinguished —
-    // faults delay coverage, they never kill the process.
-    if (!any_delivered) apply(v);
-  }
-
-  frontier_.swap(next_frontier_);
-  std::sort(frontier_.begin(), frontier_.end());
-  frontier_list_valid_ = true;
-  frontier_size_ = next_size;
-  visited_count_ += new_visits;
-  round_ = next_round;
 }
 
 std::optional<std::size_t> cobra_hitting_time(const Graph& g,

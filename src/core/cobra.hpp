@@ -142,23 +142,16 @@ class CobraProcess final : public Process {
 
  protected:
   void do_reset(std::span<const Vertex> starts) override { reset(starts); }
-  void do_step(Rng& rng) override {
-    if (faults() != nullptr) {
-      step_faulty(rng);
-      return;
-    }
-    step(rng);
-  }
+  /// Runs the fault-aware round when a fault model is attached.
+  void do_step(Rng& rng) override;
   bool curve_enabled() const override { return options_.record_curves; }
 
  private:
-  /// Fault-aware round (core/faults.hpp). Tokens are conserved, never
-  /// corrupted: a down frontier vertex keeps its token in place for the
-  /// round (so a start vertex that is down at round 0 simply waits — see
-  /// README "Fault model"), and a vertex whose every push was lost
-  /// retains its token instead of going extinct. Always uses the sparse
-  /// frontier representation; transmissions are counted per actual send.
-  void step_faulty(Rng& rng);
+  /// The one round loop; kFaulty adds the fault checks (core/faults.hpp)
+  /// to the draw phase. Tokens are delayed, never lost: a down frontier
+  /// vertex, or one whose every push was lost, stays in the frontier.
+  template <bool kFaulty>
+  std::size_t run_round(Rng& rng);
 
   /// Per-vertex stamps are *global* round numbers: round r of the current
   /// trial is stamp base_ + r, and every reset advances base_ past all

@@ -44,13 +44,26 @@ FaultModel::FaultModel(std::size_t num_vertices, FaultOptions options)
 FaultSession::FaultSession(const FaultModel& model)
     : model_(&model),
       options_(&model.options()),
-      up_(model.num_vertices(), 1),
-      awake_(model.num_vertices(), 1),
+      drop_(model.options().drop),
+      state_(model.num_vertices(), kListening),
       tx_(model.num_vertices(), 0),
       rx_(model.num_vertices(), 0),
-      listen_(model.num_vertices(), 0) {
-  if (options_->churn_period > 0) phase_churn_.assign(model.num_vertices(), 0);
-  if (options_->duty_period > 0) phase_duty_.assign(model.num_vertices(), 0);
+      missed_(model.num_vertices(), 0) {
+  const FaultOptions& o = model.options();
+  // A schedule that can never fire (churn_down = 0, a duty cycle with
+  // A >= P) leaves every vertex up and awake, so it needs no pass.
+  const unsigned schedules =
+      (o.churn > 0.0 ? kRandomChurn : 0) |
+      (o.churn_period > 0 && o.churn_down > 0 ? kPeriodicChurn : 0) |
+      (o.duty_period > 0 && o.duty_awake < o.duty_period ? kDuty : 0);
+  static constexpr Pass kPasses[8] = {
+      nullptr, &FaultSession::schedule_pass<1>, &FaultSession::schedule_pass<2>,
+      &FaultSession::schedule_pass<3>, &FaultSession::schedule_pass<4>,
+      &FaultSession::schedule_pass<5>, &FaultSession::schedule_pass<6>,
+      &FaultSession::schedule_pass<7>};
+  pass_ = kPasses[schedules];
+  if (schedules & kPeriodicChurn) phase_churn_.assign(state_.size(), 0);
+  if (schedules & kDuty) phase_duty_.assign(state_.size(), 0);
 }
 
 void FaultSession::begin_trial(std::uint64_t entropy) {
@@ -60,67 +73,79 @@ void FaultSession::begin_trial(std::uint64_t entropy) {
   phase_key_ = sm.next();
   std::fill(tx_.begin(), tx_.end(), std::uint64_t{0});
   std::fill(rx_.begin(), rx_.end(), std::uint64_t{0});
-  std::fill(listen_.begin(), listen_.end(), std::uint64_t{0});
-  std::fill(up_.begin(), up_.end(), char{1});
-  std::fill(awake_.begin(), awake_.end(), char{1});
-  tx_total_ = delivered_ = dropped_ = blocked_ = listen_total_ = 0;
+  std::fill(missed_.begin(), missed_.end(), std::uint64_t{0});
+  std::fill(state_.begin(), state_.end(), kListening);
+  tx_total_ = delivered_ = dropped_ = blocked_ = 0;
+  rounds_ = missed_total_ = 0;
   // Per-vertex schedule phases: a fresh deterministic offset per trial so
   // periodic schedules are desynchronized across vertices (and trials).
-  const std::size_t n = model_->num_vertices();
-  if (options_->churn_period > 0) {
-    const auto period = static_cast<std::uint64_t>(options_->churn_period);
-    for (std::size_t v = 0; v < n; ++v) {
-      phase_churn_[v] =
-          static_cast<std::uint32_t>(mix3(phase_key_, 1, v) % period);
+  // Only schedules that can fire keep phases.
+  const auto draw_phases = [this](std::vector<std::uint32_t>& phases,
+                                  std::uint64_t stream, std::uint64_t period) {
+    for (std::size_t v = 0; v < phases.size(); ++v) {
+      phases[v] = static_cast<std::uint32_t>(mix3(phase_key_, stream, v) %
+                                             period);
     }
-  }
-  if (options_->duty_period > 0) {
-    const auto period = static_cast<std::uint64_t>(options_->duty_period);
-    for (std::size_t v = 0; v < n; ++v) {
-      phase_duty_[v] =
-          static_cast<std::uint32_t>(mix3(phase_key_, 2, v) % period);
-    }
-  }
+  };
+  draw_phases(phase_churn_, 1, options_->churn_period);
+  draw_phases(phase_duty_, 2, options_->duty_period);
 }
 
-void FaultSession::begin_round(std::size_t round) {
-  drop_key_ = mix64(drop_base_, round);
-  const std::uint64_t churn_key = mix64(churn_base_, round);
-  const FaultOptions& o = *options_;
-  const std::size_t n = model_->num_vertices();
+template <unsigned kSchedules>
+void FaultSession::schedule_pass(std::size_t round) {
+  constexpr bool kRandom = (kSchedules & kRandomChurn) != 0;
+  constexpr bool kPeriodic = (kSchedules & kPeriodicChurn) != 0;
+  constexpr bool kDutyCycle = (kSchedules & kDuty) != 0;
+  // Options and array pointers live in locals: the byte stores to the
+  // mask may alias anything, which would otherwise force reloads.
+  const FaultOptions o = *options_;
+  const std::uint64_t churn_key = kRandom ? mix64(churn_base_, round) : 0;
+  // A vertex's slot in a periodic schedule is (round + phase) mod period.
+  // Both terms are below the period, so one conditional subtract of the
+  // per-round offset replaces the per-vertex modulo.
+  const std::uint64_t churn_offset = kPeriodic ? round % o.churn_period : 0;
+  const std::uint64_t duty_offset = kDutyCycle ? round % o.duty_period : 0;
+  const std::uint32_t* phase_churn = phase_churn_.data();
+  const std::uint32_t* phase_duty = phase_duty_.data();
+  std::uint8_t* state = state_.data();
+  std::uint64_t* missed = missed_.data();
+  const std::size_t n = state_.size();
+  std::uint64_t missed_round = 0;
   for (std::size_t v = 0; v < n; ++v) {
     bool is_up = true;
-    if (o.churn > 0.0) {
-      is_up = to_unit(mix64(churn_key, v)) >= o.churn;
-    }
-    if (is_up && o.churn_period > 0) {
-      is_up = (round + phase_churn_[v]) % o.churn_period >= o.churn_down;
+    if constexpr (kRandom) is_up = to_unit(mix64(churn_key, v)) >= o.churn;
+    if constexpr (kPeriodic) {
+      std::uint64_t slot = churn_offset + phase_churn[v];
+      slot -= slot >= o.churn_period ? o.churn_period : 0;
+      is_up = is_up && slot >= o.churn_down;
     }
     bool is_awake = true;
-    if (o.duty_period > 0) {
-      is_awake = (round + phase_duty_[v]) % o.duty_period < o.duty_awake;
+    if constexpr (kDutyCycle) {
+      std::uint64_t slot = duty_offset + phase_duty[v];
+      slot -= slot >= o.duty_period ? o.duty_period : 0;
+      is_awake = slot < o.duty_awake;
     }
-    up_[v] = is_up ? 1 : 0;
-    awake_[v] = is_awake ? 1 : 0;
-    if (is_up && is_awake) {
-      ++listen_[v];
-      ++listen_total_;
-    }
+    state[v] = static_cast<std::uint8_t>((is_up ? kUp : 0) |
+                                         (is_awake ? kAwake : 0));
+    const std::uint64_t deaf = is_up && is_awake ? 0 : 1;
+    missed[v] += deaf;
+    missed_round += deaf;
   }
+  missed_total_ += missed_round;
 }
 
 double FaultSession::vertex_energy(std::uint32_t v) const {
   const FaultOptions& o = *options_;
   return o.energy_tx * static_cast<double>(tx_[v]) +
          o.energy_rx * static_cast<double>(rx_[v]) +
-         o.energy_idle * static_cast<double>(listen_[v]);
+         o.energy_idle * static_cast<double>(listen(v));
 }
 
 double FaultSession::total_energy() const {
   const FaultOptions& o = *options_;
   return o.energy_tx * static_cast<double>(tx_total_) +
          o.energy_rx * static_cast<double>(delivered_) +
-         o.energy_idle * static_cast<double>(listen_total_);
+         o.energy_idle * static_cast<double>(listen_total());
 }
 
 const std::vector<FaultParamSpec>& fault_param_specs() {
@@ -205,8 +230,8 @@ FaultOptions parse_fault_options(
 }
 
 std::uint64_t fault_session_bytes(std::uint64_t num_vertices) {
-  // Three u64 counter arrays, two byte masks, two u32 phase arrays.
-  return num_vertices * (3 * 8 + 2 * 1 + 2 * 4);
+  // Three u64 counter arrays, one byte mask, two u32 phase arrays.
+  return num_vertices * (3 * 8 + 1 + 2 * 4);
 }
 
 }  // namespace cobra

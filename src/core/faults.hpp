@@ -87,7 +87,9 @@ class FaultModel {
 /// Per-process fault state: the per-round up/awake masks, the keyed
 /// decision streams, and the per-vertex tx/rx/listen counters. Owned by a
 /// Process (one per workspace, allocated once at attach — the zero
-/// steady-state-allocation contract holds; per-trial work is O(n) fills).
+/// steady-state-allocation contract holds). Per-trial work is O(n) fills;
+/// a round is O(1) unless a per-vertex schedule can fire (random churn,
+/// churn_down > 0, a duty cycle with A < P): then one pass over n.
 class FaultSession {
  public:
   explicit FaultSession(const FaultModel& model);
@@ -98,16 +100,20 @@ class FaultSession {
   void begin_trial(std::uint64_t entropy);
 
   /// Starts round `round` (the process's round index *before* the step):
-  /// computes this round's up/awake masks and accrues one idle-listen
-  /// round for every up-and-awake vertex.
-  void begin_round(std::size_t round);
+  /// keys the round's drop decisions and, if a per-vertex schedule
+  /// exists, recomputes the up/awake masks. Idle listening is counted in
+  /// bulk: listen(v) = rounds begun − rounds v spent down or asleep, so
+  /// only vertices that miss a round are ever touched.
+  void begin_round(std::size_t round) {
+    drop_key_ = mix64(drop_base_, round);
+    ++rounds_;
+    if (pass_ != nullptr) (this->*pass_)(round);
+  }
 
-  bool up(std::uint32_t v) const noexcept { return up_[v] != 0; }
-  bool awake(std::uint32_t v) const noexcept { return awake_[v] != 0; }
   /// Down vertices neither send nor receive; asleep ones still send.
-  bool can_send(std::uint32_t v) const noexcept { return up_[v] != 0; }
+  bool can_send(std::uint32_t v) const noexcept { return state_[v] & kUp; }
   bool can_receive(std::uint32_t v) const noexcept {
-    return up_[v] != 0 && awake_[v] != 0;
+    return state_[v] == kListening;
   }
 
   /// Records one message from `from` (its `index`-th transmission this
@@ -116,12 +122,11 @@ class FaultSession {
   bool transmit(std::uint32_t from, std::uint32_t index, std::uint32_t to) {
     ++tx_[from];
     ++tx_total_;
-    if (options_->drop > 0.0 &&
-        to_unit(mix3(drop_key_, from, index)) < options_->drop) {
+    if (drop_ > 0.0 && to_unit(mix3(drop_key_, from, index)) < drop_) {
       ++dropped_;
       return false;
     }
-    if (up_[to] == 0 || awake_[to] == 0) {
+    if (state_[to] != kListening) {
       ++blocked_;
       return false;
     }
@@ -151,12 +156,14 @@ class FaultSession {
   std::uint64_t delivered_total() const noexcept { return delivered_; }
   std::uint64_t dropped_total() const noexcept { return dropped_; }
   std::uint64_t blocked_total() const noexcept { return blocked_; }
-  std::uint64_t listen_total() const noexcept { return listen_total_; }
+  std::uint64_t listen_total() const noexcept {
+    return rounds_ * state_.size() - missed_total_;
+  }
 
   // ---- per-vertex counters ----
   std::uint64_t tx(std::uint32_t v) const { return tx_[v]; }
   std::uint64_t rx(std::uint32_t v) const { return rx_[v]; }
-  std::uint64_t listen(std::uint32_t v) const { return listen_[v]; }
+  std::uint64_t listen(std::uint32_t v) const { return rounds_ - missed_[v]; }
 
   /// energy(v) = e_tx*tx(v) + e_rx*rx(v) + e_idle*listen(v).
   double vertex_energy(std::uint32_t v) const;
@@ -166,6 +173,9 @@ class FaultSession {
   const FaultModel& model() const noexcept { return *model_; }
 
  private:
+  /// Per-vertex mask bits; a vertex receives only when both are set.
+  static constexpr std::uint8_t kUp = 1, kAwake = 2, kListening = 3;
+
   /// SplitMix-style combine (same shape as Rng::for_trial's premix).
   static std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
     SplitMix64 sm(a ^ (0x632be59bd9b4e019ULL * (b + 1)));
@@ -179,15 +189,26 @@ class FaultSession {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
   }
 
+  /// Schedules that can fire, as template bits of schedule_pass.
+  static constexpr unsigned kRandomChurn = 1, kPeriodicChurn = 2, kDuty = 4;
+
+  /// The per-vertex mask pass, specialised on the schedules that can fire
+  /// so the loop carries no option branches; begin_round calls it through
+  /// pass_ (null when no schedule can fire).
+  template <unsigned kSchedules>
+  void schedule_pass(std::size_t round);
+  using Pass = void (FaultSession::*)(std::size_t);
+
   const FaultModel* model_;
   const FaultOptions* options_;
-  std::vector<char> up_;
-  std::vector<char> awake_;
+  double drop_;
+  Pass pass_ = nullptr;
+  std::vector<std::uint8_t> state_;  ///< kUp | kAwake bits this round
   std::vector<std::uint32_t> phase_churn_;
   std::vector<std::uint32_t> phase_duty_;
   std::vector<std::uint64_t> tx_;
   std::vector<std::uint64_t> rx_;
-  std::vector<std::uint64_t> listen_;
+  std::vector<std::uint64_t> missed_;  ///< rounds spent down or asleep
   std::uint64_t churn_base_ = 0;  ///< trial key of the random-churn stream
   std::uint64_t drop_base_ = 0;   ///< trial key of the channel-drop stream
   std::uint64_t phase_key_ = 0;   ///< trial key of the schedule phases
@@ -196,7 +217,8 @@ class FaultSession {
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t blocked_ = 0;
-  std::uint64_t listen_total_ = 0;
+  std::uint64_t rounds_ = 0;        ///< begin_round calls this trial
+  std::uint64_t missed_total_ = 0;  ///< sum of missed_
 };
 
 /// One accepted [faults] key plus its --list documentation (the scenario

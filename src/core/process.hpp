@@ -46,8 +46,6 @@
 
 namespace cobra {
 
-class FaultModel;
-class FaultSession;
 class Process;
 
 /// Snapshot handed to RoundObserver::on_round after each step.
@@ -211,8 +209,8 @@ class Process {
 
   /// The mutable fault session for do_step implementations; nullptr when
   /// no fault model is attached. A do_step whose session is non-null must
-  /// run its fault-aware round (step_faulty); the base step() has already
-  /// called begin_round for it.
+  /// run its fault-aware round; the base step() has already called
+  /// begin_round for it.
   FaultSession* faults() noexcept { return fault_session_.get(); }
 
   /// Cap on the curve_size_hint default, so a 2^28-step walk budget does

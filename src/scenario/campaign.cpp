@@ -460,16 +460,16 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
           job.faults[axis.entry] = {faults->entries[axis.entry].key, value};
       }
     }
-    // Vet every fault combination at plan time, so --dry-run (which only
-    // plans) rejects malformed values before any compute is spent.
-    if (!job.faults.empty()) {
-      try {
-        (void)parse_fault_options(job.faults);
-      } catch (const std::invalid_argument& e) {
-        // parse_fault_options names the [faults] section itself.
-        throw SpecError(spec.source() + ": job " + std::to_string(index) +
-                        ": " + e.what());
-      }
+    // Vet every graph, process and fault value at plan time, so --dry-run
+    // (which only plans) rejects malformed values before any compute is
+    // spent. Each parser names its own section, as the job would.
+    try {
+      check_graph_params(job.graph);
+      check_process_params(job.process);
+      if (!job.faults.empty()) (void)parse_fault_options(job.faults);
+    } catch (const std::exception& e) {
+      throw SpecError(spec.source() + ": job " + std::to_string(index) +
+                      ": " + e.what());
     }
     plan.jobs.push_back(std::move(job));
   }

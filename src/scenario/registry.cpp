@@ -51,16 +51,29 @@ std::vector<std::uint32_t> to_u32(const std::vector<std::size_t>& values) {
 
 using GraphFactory = Graph (*)(ParamReader&, Rng&);
 
-Graph file_graph(ParamReader& p, Rng&) {
-  const std::string path = p.require("file");
+/// The file family's values, read the same way by file_graph and by
+/// check_graph_params.
+struct FileGraphParams {
+  std::string path;
   EdgeListOptions options;
-  options.require_header = p.get_int("require_header", 0) != 0;
-  options.dedup = p.get_int("dedup", 1) != 0;
+  bool use_mmap = false;
+};
+
+FileGraphParams read_file_params(ParamReader& p) {
+  FileGraphParams out;
+  out.path = p.require("file");
+  out.options.require_header = p.get_int("require_header", 0) != 0;
+  out.options.dedup = p.get_int("dedup", 1) != 0;
   // mmap = 1 loads a .cgr zero-copy: the job's CSR arrays are read-only
   // views over the file mapping (Graph::is_mapped()), so huge instances
   // run without materializing the graph in RAM. Only meaningful for .cgr
   // files — edge lists always parse into owned storage.
-  const bool use_mmap = p.get_int("mmap", 0) != 0;
+  out.use_mmap = p.get_int("mmap", 0) != 0;
+  return out;
+}
+
+Graph file_graph(ParamReader& p, Rng&) {
+  const auto [path, options, use_mmap] = read_file_params(p);
   // Binary CSR instances load directly (campaigns reuse one generated
   // .cgr across runs instead of re-parsing or regenerating); detection is
   // by extension or magic so an edge list named foo.cgr still errors
@@ -323,6 +336,7 @@ const GraphFamily kGraphFamilies[] = {
                                   rng);
      },
      [](ParamReader& p) -> SizeEstimate {
+       p.get_int("connected", 1);  // parsed so the planner vets it
        return est_regular(p.require_size("n"), p.require_size("r"));
      }},
     {"star",
@@ -384,7 +398,9 @@ bool is_graph_family(std::string_view name) {
   return find_family(name) != nullptr;
 }
 
-Graph build_graph(const ParamMap& params, Rng& rng) {
+namespace {
+
+const GraphFamily& dispatch_family(const ParamMap& params) {
   const std::string* family_name = find_param(params, "family");
   if (family_name == nullptr) {
     throw SpecError("graph: missing required parameter 'family'");
@@ -394,48 +410,82 @@ Graph build_graph(const ParamMap& params, Rng& rng) {
     throw SpecError("graph: unknown family '" + *family_name +
                     "' (see scenario_runner --list)");
   }
-  ParamReader reader(params, "graph family '" + *family_name + "'");
-  reader.require("family");  // consumed by dispatch
-  // Universal weight hooks, consumed before family dispatch:
-  //   weight = uniform|exp  synthesizes deterministic per-edge weights on
-  //                         any family (graph/weights.hpp);
-  //   weight = file         asserts the loaded file carried weights;
-  //   weight_seed           pins the synthesis seed (default: one draw
-  //                         from the job's graph RNG, taken after the
-  //                         family build so unweighted jobs see an
-  //                         unchanged stream).
-  const std::string weight_kind = reader.get("weight", "none");
-  const bool seed_given = reader.has("weight_seed");
-  const std::int64_t weight_seed =
-      seed_given ? reader.require_int("weight_seed") : 0;
-  // Validate the weight spec BEFORE the family build: these are pure
-  // string checks, and surfacing a typo after a multi-minute n=2^24
-  // generation would waste the whole build.
-  std::optional<gen::WeightKind> synth_kind;
-  if (weight_kind != "none" && weight_kind != "file") {
-    synth_kind = gen::parse_weight_kind(weight_kind);
-    if (!synth_kind.has_value()) {
-      throw SpecError("graph: unknown weight kind '" + weight_kind +
+  return *family;
+}
+
+/// Universal weight hooks, consumed before family dispatch:
+///   weight = uniform|exp  synthesizes deterministic per-edge weights on
+///                         any family (graph/weights.hpp);
+///   weight = file         asserts the loaded file carried weights;
+///   weight_seed           pins the synthesis seed (default: one draw
+///                         from the job's graph RNG, taken after the
+///                         family build so unweighted jobs see an
+///                         unchanged stream).
+struct WeightSpec {
+  std::string kind;
+  std::optional<gen::WeightKind> synth;
+  bool seed_given = false;
+  std::int64_t seed = 0;
+};
+
+WeightSpec read_weight_spec(ParamReader& reader) {
+  WeightSpec spec;
+  spec.kind = reader.get("weight", "none");
+  spec.seed_given = reader.has("weight_seed");
+  spec.seed = spec.seed_given ? reader.require_int("weight_seed") : 0;
+  // Pure string checks, validated before the family build: surfacing a
+  // typo after a multi-minute n=2^24 generation would waste the build.
+  if (spec.kind != "none" && spec.kind != "file") {
+    spec.synth = gen::parse_weight_kind(spec.kind);
+    if (!spec.synth.has_value()) {
+      throw SpecError("graph: unknown weight kind '" + spec.kind +
                       "' (none, uniform, exp, file)");
     }
   }
-  if (seed_given && !synth_kind.has_value()) {
+  if (spec.seed_given && !spec.synth.has_value()) {
     throw SpecError("graph: 'weight_seed' requires weight = uniform|exp");
   }
-  Graph g = family->build(reader, rng);
+  return spec;
+}
+
+}  // namespace
+
+Graph build_graph(const ParamMap& params, Rng& rng) {
+  const GraphFamily& family = dispatch_family(params);
+  ParamReader reader(params, std::string("graph family '") + family.name +
+                                 "'");
+  reader.require("family");  // consumed by dispatch
+  const WeightSpec weight = read_weight_spec(reader);
+  Graph g = family.build(reader, rng);
   reader.finish();
-  if (weight_kind == "file") {
+  if (weight.kind == "file") {
     if (!g.is_weighted()) {
       throw SpecError(
           "graph: weight = file, but the loaded graph carries no weights "
           "(needs family = file with a weighted edge list or .cgr v2)");
     }
-  } else if (synth_kind.has_value()) {
-    const std::uint64_t seed =
-        seed_given ? static_cast<std::uint64_t>(weight_seed) : rng();
-    gen::generate_weights(g, *synth_kind, seed);
+  } else if (weight.synth.has_value()) {
+    const std::uint64_t seed = weight.seed_given
+                                   ? static_cast<std::uint64_t>(weight.seed)
+                                   : rng();
+    gen::generate_weights(g, *weight.synth, seed);
   }
   return g;
+}
+
+void check_graph_params(const ParamMap& params) {
+  const GraphFamily& family = dispatch_family(params);
+  ParamReader reader(params, std::string("graph family '") + family.name +
+                                 "'");
+  reader.require("family");
+  (void)read_weight_spec(reader);
+  // The size estimators read every value that shapes the graph, with the
+  // build's reader context; the file family reads its own keys.
+  if (family.estimate != nullptr) {
+    (void)family.estimate(reader);
+  } else {
+    (void)read_file_params(reader);
+  }
 }
 
 GraphMemoryEstimate estimate_graph_memory(const ParamMap& params) {
@@ -544,6 +594,18 @@ std::unique_ptr<Process> make_process(const Graph& g, const ParamMap& params) {
     // Same diagnostics, one error type for the campaign planner.
     throw SpecError(e.what());
   }
+}
+
+void check_process_params(const ParamMap& params) {
+  // A weighted triangle satisfies every graph precondition a builder
+  // checks (weights present, no isolated vertex), so only the parameter
+  // values can fail here.
+  static const Graph probe = [] {
+    Graph g = gen::complete(3);
+    gen::generate_weights(g, gen::WeightKind::kUniform, 1);
+    return g;
+  }();
+  (void)scenario::make_process(probe, params);
 }
 
 }  // namespace cobra::scenario

@@ -60,6 +60,13 @@ std::vector<std::string> graph_family_param_keys(std::string_view family);
 /// unknown family, missing/malformed parameters, or unknown keys.
 Graph build_graph(const ParamMap& params, Rng& rng);
 
+/// Parses every value build_graph would read, without building: the
+/// same reader and messages, so the campaign planner (and --dry-run)
+/// rejects a malformed value before any job runs. Range checks inside
+/// the generators (e.g. r < n) still surface when the job builds.
+/// Throws SpecError.
+void check_graph_params(const ParamMap& params);
+
 /// Pre-build memory estimate for a resolved [graph] parameter set — what
 /// scenario_runner --dry-run prints per job so an overnight campaign can
 /// be sanity-checked against available RAM before launch. For random
@@ -110,5 +117,11 @@ bool process_has_param(std::string_view name, std::string_view key);
 /// Instantiates the process named params["name"] on `g`. Throws SpecError
 /// on unknown names, malformed parameters, or unknown keys.
 std::unique_ptr<Process> make_process(const Graph& g, const ParamMap& params);
+
+/// Parses and range-checks every process value with the factory's own
+/// code and messages, on a tiny probe graph. Checks that depend on the
+/// job's graph (weights present, no isolated vertices) wait for the job.
+/// Throws SpecError.
+void check_process_params(const ParamMap& params);
 
 }  // namespace cobra::scenario

@@ -25,4 +25,8 @@ std::string build_flags();
 /// used by --version, the handshake, and journal notes.
 std::string build_info_string();
 
+/// The host block every committed BENCH_*.json opens with, as one JSON
+/// object: {"nproc": N, "cpu_model": "...", "build_info": "..."}.
+std::string host_json();
+
 }  // namespace cobra

@@ -12,9 +12,13 @@
 //      identical at 1/2/8 worker threads, and a killed-and-resumed faulty
 //      campaign reproduces the uninterrupted sinks byte-for-byte,
 //  (e) [faults] spec validation (unknown keys, malformed values, swept
-//      process names) and the journal payload round-trip.
+//      process names) and the journal payload round-trip,
+//  (f) COBRA under faults: every frontier representation gives the same
+//      faulty run, schedules that never fire match no schedule, and the
+//      per-vertex listening counts sum to the total.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -22,10 +26,12 @@
 #include <string>
 #include <vector>
 
+#include "core/cobra.hpp"
 #include "core/faults.hpp"
 #include "core/process.hpp"
 #include "core/process_factory.hpp"
 #include "graph/generators.hpp"
+#include "graph/weights.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/sink.hpp"
@@ -384,6 +390,176 @@ TEST(FaultsJournal, PayloadRoundTripsAndLegacyParses) {
   EXPECT_FALSE(legacy_parsed.faulty);
   EXPECT_EQ(legacy_parsed.delivered, 0u);
   EXPECT_EQ(legacy_parsed.graph_name, "cycle_n32");
+}
+
+// ---- (f) COBRA under faults, schedules, listening counts ----
+
+/// Every per-vertex fault counter of the session, in vertex order.
+std::vector<std::uint64_t> vertex_counters(const FaultSession& fs,
+                                           std::size_t n) {
+  std::vector<std::uint64_t> out;
+  out.reserve(3 * n);
+  for (Vertex v = 0; v < n; ++v) {
+    out.push_back(fs.tx(v));
+    out.push_back(fs.rx(v));
+    out.push_back(fs.listen(v));
+  }
+  return out;
+}
+
+/// A mixed load: drops, both churn kinds and a duty cycle at once.
+FaultOptions mixed_faults() {
+  FaultOptions options;
+  options.drop = 0.25;
+  options.churn = 0.05;
+  options.churn_period = 5;
+  options.churn_down = 1;
+  options.duty_period = 4;
+  options.duty_awake = 3;
+  return options;
+}
+
+TEST(FaultsCobra, FrontierModesAgreeUnderFaults) {
+  // The dense threshold (64 here) is far below the bulk of the frontier,
+  // so kAuto switches to the dense stamp scan mid-trial while kSparse
+  // keeps the sorted list. The sparse runs are also folded into one
+  // pinned digest, recorded from the faulty round that predates COBRA's
+  // shared round loop (weighted draws included).
+  Rng graph_rng(45);
+  Graph g = gen::connected_random_regular(1024, 4, graph_rng);
+  gen::generate_weights(g, gen::WeightKind::kExp, 3);
+  FaultOptions drop_duty;
+  drop_duty.drop = 0.25;
+  drop_duty.duty_period = 4;
+  drop_duty.duty_awake = 3;
+  FaultOptions down_often;
+  down_often.churn = 0.3;
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over u64 words
+  const auto mix = [&digest](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (word >> (8 * i)) & 0xffu;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  for (const FaultOptions& fault_options :
+       {drop_duty, down_often, mixed_faults()}) {
+    const FaultModel model(g.num_vertices(), fault_options);
+    for (const bool weighted : {false, true}) {
+      for (const Branching branching :
+           {Branching::fixed(2), Branching::fixed(5),
+            Branching::fractional(0.5)}) {
+        CobraOptions options;
+        options.branching = branching;
+        options.weighted = weighted;
+        options.max_rounds = 4096;
+        std::vector<SpreadResult> results;
+        std::vector<std::vector<Round>> visits;
+        std::vector<std::vector<std::uint64_t>> counters;
+        for (const FrontierMode mode :
+             {FrontierMode::kSparse, FrontierMode::kDense,
+              FrontierMode::kAuto}) {
+          options.frontier_mode = mode;
+          CobraProcess process(g, 0, options);
+          process.set_fault_model(&model);
+          results.push_back(process.run(Rng(31), 0));
+          visits.push_back(process.first_visit_rounds());
+          counters.push_back(
+              vertex_counters(*process.fault_session(), g.num_vertices()));
+        }
+        EXPECT_TRUE(results[0].completed);
+        mix(results[0].rounds);
+        mix(results[0].total_transmissions);
+        mix(results[0].peak_vertex_round_transmissions);
+        mix(results[0].delivered);
+        mix(results[0].dropped_channel);
+        mix(results[0].blocked_receiver);
+        for (const std::size_t c : results[0].curve) mix(c);
+        for (const Round r : visits[0]) mix(r);
+        for (const std::uint64_t c : counters[0]) mix(c);
+        for (std::size_t m = 1; m < results.size(); ++m) {
+          EXPECT_EQ(results[m], results[0]) << "mode " << m;
+          EXPECT_EQ(visits[m], visits[0]) << "mode " << m;
+          EXPECT_EQ(counters[m], counters[0]) << "mode " << m;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xbf6e7a5bcd3472c5ull) << "got 0x" << std::hex << digest;
+}
+
+TEST(Faults, SchedulesThatNeverFireMatchNoSchedule) {
+  // An always-awake duty cycle (A >= P) and a churn period with zero down
+  // rounds fire on no vertex in no round: the runs, and every per-vertex
+  // counter, equal those of a model with no schedule at all.
+  Rng graph_rng(46);
+  const Graph g = gen::connected_random_regular(64, 4, graph_rng);
+  FaultOptions none;
+  none.drop = 0.25;
+  FaultOptions awake = none;
+  awake.duty_period = 5;
+  awake.duty_awake = 5;
+  FaultOptions never_down = none;
+  never_down.churn_period = 3;
+  never_down.churn_down = 0;
+  FaultOptions both = awake;
+  both.churn_period = 7;
+  both.churn_down = 0;
+  const FaultModel reference_model(g.num_vertices(), none);
+  for (const std::string& name : process_names()) {
+    const auto reference = make_process(g, name, kBoundedRounds);
+    reference->set_fault_model(&reference_model);
+    const SpreadResult expected = reference->run(Rng(8), 0);
+    const auto expected_counters =
+        vertex_counters(*reference->fault_session(), g.num_vertices());
+    for (const FaultOptions& options : {awake, never_down, both}) {
+      const FaultModel model(g.num_vertices(), options);
+      const auto process = make_process(g, name, kBoundedRounds);
+      process->set_fault_model(&model);
+      EXPECT_EQ(process->run(Rng(8), 0), expected) << name;
+      EXPECT_EQ(vertex_counters(*process->fault_session(), g.num_vertices()),
+                expected_counters)
+          << name;
+    }
+  }
+}
+
+TEST(Faults, ListenCountsSumToTotal) {
+  Rng graph_rng(47);
+  const Graph g = gen::connected_random_regular(64, 4, graph_rng);
+  FaultOptions drop_only;
+  drop_only.drop = 0.5;
+  FaultOptions asleep_always;
+  asleep_always.duty_period = 3;
+  asleep_always.duty_awake = 0;
+  for (const FaultOptions& options :
+       {drop_only, asleep_always, mixed_faults()}) {
+    const FaultModel model(g.num_vertices(), options);
+    for (const std::string& name : process_names()) {
+      const auto process = make_process(g, name, kBoundedRounds);
+      process->set_fault_model(&model);
+      // Two trials on one workspace: the second must not inherit counts.
+      for (const std::uint64_t seed : {4ull, 5ull}) {
+        (void)process->run(Rng(seed), 0);
+        const FaultSession& fs = *process->fault_session();
+        std::uint64_t sum = 0;
+        std::uint64_t most = 0;
+        for (Vertex v = 0; v < g.num_vertices(); ++v) {
+          sum += fs.listen(v);
+          most = std::max(most, fs.listen(v));
+        }
+        EXPECT_EQ(sum, fs.listen_total()) << name;
+        EXPECT_LE(most, process->round()) << name;
+        if (options.duty_awake == 0 && options.duty_period > 0) {
+          EXPECT_EQ(sum, 0u) << name;
+        }
+        if (options.churn == 0.0 && options.duty_period == 0) {
+          // Nothing is ever down or asleep: every vertex listens in
+          // every round.
+          EXPECT_EQ(sum, g.num_vertices() * process->round()) << name;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

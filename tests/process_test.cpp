@@ -37,28 +37,33 @@ constexpr std::uint64_t kSeeds[] = {7, 1001, 987654321};
 
 // ---- golden digests: every SpreadResult field, pinned ----
 
-/// FNV-1a over every SpreadResult field as u64 words: the scalars, the
-/// curve (length, then entries), the fault counters and the energy bits.
-std::uint64_t SpreadDigest(const SpreadResult& r) {
+/// FNV-1a over a sequence of u64 words, fed byte by byte.
+struct Fnv1a {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t word) {
+  void mix(std::uint64_t word) {
     for (int i = 0; i < 8; ++i) {
       h ^= (word >> (8 * i)) & 0xffu;
       h *= 0x100000001b3ull;
     }
-  };
-  mix(r.completed);
-  mix(r.rounds);
-  mix(r.final_count);
-  mix(r.curve.size());
-  for (const std::size_t c : r.curve) mix(c);
-  mix(r.total_transmissions);
-  mix(r.peak_vertex_round_transmissions);
-  mix(r.delivered);
-  mix(r.dropped_channel);
-  mix(r.blocked_receiver);
-  mix(std::bit_cast<std::uint64_t>(r.energy));
-  return h;
+  }
+};
+
+/// FNV-1a over every SpreadResult field as u64 words: the scalars, the
+/// curve (length, then entries), the fault counters and the energy bits.
+std::uint64_t SpreadDigest(const SpreadResult& r) {
+  Fnv1a f;
+  f.mix(r.completed);
+  f.mix(r.rounds);
+  f.mix(r.final_count);
+  f.mix(r.curve.size());
+  for (const std::size_t c : r.curve) f.mix(c);
+  f.mix(r.total_transmissions);
+  f.mix(r.peak_vertex_round_transmissions);
+  f.mix(r.delivered);
+  f.mix(r.dropped_channel);
+  f.mix(r.blocked_receiver);
+  f.mix(std::bit_cast<std::uint64_t>(r.energy));
+  return f.h;
 }
 
 struct GoldenRow {
@@ -70,7 +75,9 @@ struct GoldenRow {
   std::array<std::uint64_t, 9> digest;
 };
 
-TEST(ProcessGolden, SpreadDigestsArePinned) {
+/// One row per process configuration, shared by the fault-free and the
+/// fault-path digest tables below.
+const std::vector<GoldenRow>& golden_rows() {
   // Generated from the one-shot reference functions these processes
   // replaced, which they matched draw for draw. The branching-walk and
   // SIS one-shot results carried fewer fields: those fields were checked
@@ -79,7 +86,7 @@ TEST(ProcessGolden, SpreadDigestsArePinned) {
   // process result field for field. Flood never draws, so its seeds
   // agree. A changed digest changes every campaign sink for that process
   // and must be a deliberate edit here.
-  const std::vector<GoldenRow> golden = {
+  static const std::vector<GoldenRow> kRows = {
       {"cobra", {{"k", "2"}}, 0,
        {0x83dab9d69239f867ull, 0xf776e4436d378d17ull, 0x7e171a93fa42091cull,
         0x1aa23c666d60da1full, 0xd401c18b5b2804a7ull, 0x691b0af467885485ull,
@@ -125,8 +132,12 @@ TEST(ProcessGolden, SpreadDigestsArePinned) {
         0xea6536f7a8c45152ull, 0x75958a573deb53b3ull, 0xad8e41e27240dac5ull,
         0x664d9e6b3773638dull, 0x66162efce0c1cd51ull, 0x20028c3fc7d7ae19ull}},
   };
+  return kRows;
+}
+
+TEST(ProcessGolden, SpreadDigestsArePinned) {
   const std::vector<Graph> graphs = parity_graphs();
-  for (const GoldenRow& row : golden) {
+  for (const GoldenRow& row : golden_rows()) {
     for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
       const auto process = make_process(graphs[gi], row.process, row.params);
       for (std::size_t si = 0; si < std::size(kSeeds); ++si) {
@@ -135,6 +146,124 @@ TEST(ProcessGolden, SpreadDigestsArePinned) {
             << row.process << " on " << graphs[gi].name()
             << " seed=" << kSeeds[si];
       }
+    }
+  }
+}
+
+// ---- golden fault-path digests ----
+
+FaultOptions drop_quarter() {
+  FaultOptions o;
+  o.drop = 0.25;
+  return o;
+}
+
+FaultOptions duty_three_quarters() {
+  FaultOptions o;
+  o.duty_period = 4;
+  o.duty_awake = 3;
+  return o;
+}
+
+FaultOptions drop_and_duty() {
+  FaultOptions o = duty_three_quarters();
+  o.drop = 0.25;
+  return o;
+}
+
+FaultOptions random_churn() {
+  FaultOptions o;
+  o.churn = 0.1;
+  return o;
+}
+
+FaultOptions periodic_churn() {
+  FaultOptions o;
+  o.churn_period = 4;
+  o.churn_down = 1;
+  return o;
+}
+
+/// Schedules that never fire: always awake, never down.
+FaultOptions inert_schedules() {
+  FaultOptions o;
+  o.duty_period = 1;
+  o.duty_awake = 1;
+  o.churn_period = 4;
+  o.churn_down = 0;
+  return o;
+}
+
+struct FaultGolden {
+  const char* setting;
+  FaultOptions options;
+  /// digest[i] folds golden_rows()[i] over parity_graphs() x kSeeds: each
+  /// run's SpreadDigest, then every vertex's tx, rx and listen counters.
+  std::array<std::uint64_t, 11> digest;
+};
+
+TEST(ProcessGolden, FaultDigestsArePinned) {
+  // Recorded from the fault-aware rounds before the listening counters
+  // went bulk and COBRA's faulty round joined its batched round loop;
+  // both changes had to leave every faulty result and counter unchanged.
+  const std::vector<FaultGolden> golden = {
+      {"drop 0.25", drop_quarter(),
+       {0x0775c4f568465397ull, 0xb839bf11ceb512b2ull, 0x4482668ec331f397ull,
+        0xfe733fa06c6ea270ull, 0x8fd3f6a36d2f0edaull, 0x355320a601a065cdull,
+        0x7bb6da8e2185974full, 0xcf5fc9872218900eull, 0x70ab5a5efaaec73bull,
+        0xa8b961bddba9e3b2ull, 0x765b77973d6b77d1ull}},
+      {"duty 3/4", duty_three_quarters(),
+       {0x8d656be9f7c43bf5ull, 0x8ef8a1606c1f5bb3ull, 0xd2932c2a46dbb634ull,
+        0xc376060e88cbe6a3ull, 0x4e3f6ba8b7bad588ull, 0x42345216b45cfae7ull,
+        0xd44ce0810829b8e7ull, 0x8c5a9b4b550cfe45ull, 0xc37a6bc322f9c582ull,
+        0x023fde779ab0e9ecull, 0x94243f706a916b85ull}},
+      {"drop 0.25 + duty 3/4", drop_and_duty(),
+       {0xd9f7d3c0bdb26325ull, 0x740d058c1f8493b7ull, 0x70cb4a036903356dull,
+        0x92878a510aa72c36ull, 0xc39fdcf7e2d7fc3bull, 0x88f9b97f0200e3a4ull,
+        0x5bd22105bd033109ull, 0xbfe495201c3a48afull, 0x9660297306f57448ull,
+        0xca4573de058b5e2dull, 0xfda5f1cb184bb94eull}},
+      {"churn 0.1", random_churn(),
+       {0xd5e4ce49f703d5e8ull, 0x50193e689afb04f7ull, 0x17d2cd6f1dfe9433ull,
+        0x05ab19fd2225d2faull, 0x1aa1cc2e02645d89ull, 0x30c58da7fcbda0d4ull,
+        0x74c58d79fb8bb28full, 0x220a9d6e935fdd07ull, 0x9a61f533c2df4531ull,
+        0x64f3340c57d59384ull, 0xf53f35df05b6b061ull}},
+      {"churn 1/4", periodic_churn(),
+       {0xc963abf66ce73147ull, 0x6aaba5b9152196ebull, 0xf0f5f93da315ad17ull,
+        0x1bb9b6b7fa2ca772ull, 0x9b8a5ad1b12a348cull, 0x014608a552c41bb1ull,
+        0xfb3d5f7cf7cd31d0ull, 0x9c69158b01770731ull, 0x761334230eba6951ull,
+        0xd0b23257e8529051ull, 0x1465be9a6f09a4faull}},
+      {"inert", inert_schedules(),
+       {0xe0d2b7c65eb55526ull, 0xec0ca92d242a4248ull, 0x9d259d54a357be27ull,
+        0xdeef995d998fe9aaull, 0x7c6aa95b82031ec8ull, 0x7c67fc5818a53606ull,
+        0x1b6032536ec2d5d3ull, 0xca95df3cafe3c772ull, 0xda237fb5f0c6048cull,
+        0x8033e4fdb2a758feull, 0x005896edb3b59508ull}},
+  };
+  const std::vector<Graph> graphs = parity_graphs();
+  const std::vector<GoldenRow>& rows = golden_rows();
+  for (const FaultGolden& setting : golden) {
+    ASSERT_EQ(setting.digest.size(), rows.size());
+    for (std::size_t ri = 0; ri < rows.size(); ++ri) {
+      const GoldenRow& row = rows[ri];
+      Fnv1a f;
+      for (const Graph& g : graphs) {
+        const FaultModel model(g.num_vertices(), setting.options);
+        const auto process = make_process(g, row.process, row.params);
+        process->set_fault_model(&model);
+        for (const std::uint64_t seed : kSeeds) {
+          f.mix(SpreadDigest(process->run(Rng(seed), row.start)));
+          const FaultSession& fs = *process->fault_session();
+          for (Vertex v = 0; v < g.num_vertices(); ++v) {
+            f.mix(fs.tx(v));
+            f.mix(fs.rx(v));
+            f.mix(fs.listen(v));
+          }
+        }
+      }
+      EXPECT_EQ(f.h, setting.digest[ri])
+          << setting.setting << ": " << row.process << " "
+          << (row.params.empty() ? "" : row.params[0].first + "=" +
+                                            row.params[0].second)
+          << " got 0x" << std::hex << f.h;
     }
   }
 }

@@ -310,6 +310,56 @@ TEST(Plan, RejectsUnknownSectionsKeysAndNames) {
   }
 }
 
+TEST(Plan, RejectsMalformedValuesBeforeAnyJobRuns) {
+  // Every graph, process and fault value is parsed at plan time, so
+  // --dry-run fails on a value the job would reject, with the job's own
+  // message ("job N: <section>: ...").
+  struct Case {
+    const char* graph;
+    const char* process;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"family = cycle\nn = 32\n", "name = cobra\nrho = nan\n",
+       "job 0: process 'cobra': parameter 'rho' expects a number, got 'nan'"},
+      {"family = cycle\nn = 32\n", "name = cobra\nk = 0\n",
+       "job 0: process: 'k' must be >= 1"},
+      {"family = cycle\nn = 32\n", "name = push, walk\nmax_rounds = -1\n",
+       "job 0: process: 'max_rounds' must be >= 0"},
+      {"family = erdos_renyi\nn = 32\np = nan\n", "name = cobra\n",
+       "job 0: graph family 'erdos_renyi': parameter 'p' expects a number, "
+       "got 'nan'"},
+      {"family = random_geometric\nn = 32\nradius = 0.5, nan\n",
+       "name = cobra\n",
+       "job 1: graph family 'random_geometric': parameter 'radius' expects a "
+       "number, got 'nan'"},
+      {"family = random_regular\nn = 32\nr = 4\nconnected = yes\n",
+       "name = cobra\n",
+       "job 0: graph family 'random_regular': parameter 'connected' expects "
+       "an integer, got 'yes'"},
+      {"family = cycle\nn = 32\nweight = heavy\n", "name = cobra\n",
+       "job 0: graph: unknown weight kind 'heavy'"},
+  };
+  for (const Case& c : cases) {
+    expect_spec_error(
+        [&] {
+          plan_campaign(ScenarioSpec::parse_string(
+              std::string("[graph]\n") + c.graph + "[process]\n" + c.process,
+              "s.scenario"));
+        },
+        "s.scenario: " + c.message);
+  }
+  // Graph-dependent preconditions are not value errors: a weighted
+  // process plans fine (the job's graph decides), as does a valid file
+  // family whose file is only read when the job runs.
+  EXPECT_NO_THROW(plan_campaign(ScenarioSpec::parse_string(
+      "[graph]\nfamily = cycle\nn = 32\nweight = exp\n"
+      "[process]\nname = cobra, bips\nweighted = 1\nrho = 0.5\n")));
+  EXPECT_NO_THROW(plan_campaign(ScenarioSpec::parse_string(
+      "[graph]\nfamily = file\nfile = missing.txt\ndedup = 0\n"
+      "[process]\nname = cobra\n")));
+}
+
 // ---- execution ----
 
 TEST(Campaign, DeterministicAcrossThreadCounts) {
