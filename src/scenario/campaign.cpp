@@ -8,6 +8,7 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <utility>
 
 #include "core/faults.hpp"
 #include "obs/progress.hpp"
@@ -433,6 +434,14 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
     }
   }
 
+  // A grid repeats each section's parameter sets many times. A job's set
+  // in a section is fixed by that section's axis picks, so their
+  // mixed-radix number names it, and each set is vetted once.
+  std::size_t section_sets[4] = {1, 1, 1, 1};
+  for (const Axis& axis : axes) section_sets[axis.section] *= axis.values.size();
+  std::vector<char> vetted[4];
+  for (int s = 1; s < 4; ++s) vetted[s].assign(section_sets[s], 0);
+
   plan.jobs.reserve(total);
   for (std::size_t index = 0; index < total; ++index) {
     JobSpec job;
@@ -442,10 +451,13 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
     if (faults != nullptr) job.faults.resize(faults->entries.size());
     std::size_t residual = index;
     std::size_t stride = total;
+    std::size_t set[4] = {0, 0, 0, 0};
     for (const Axis& axis : axes) {
       stride /= axis.values.size();
-      const std::string& value = axis.values[residual / stride];
+      const std::size_t pick = residual / stride;
+      const std::string& value = axis.values[pick];
       residual %= stride;
+      set[axis.section] = set[axis.section] * axis.values.size() + pick;
       switch (axis.section) {
         case 0:
           job.seed_index = parse_seed_value(value);
@@ -462,11 +474,17 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
     }
     // Vet every graph, process and fault value at plan time, so --dry-run
     // (which only plans) rejects malformed values before any compute is
-    // spent. Each parser names its own section, as the job would.
+    // spent. Each parser names its own section, as the job would; each
+    // set is checked at the first job that uses it.
+    const auto first_use = [&](int section) {
+      return !std::exchange(vetted[section][set[section]], char{1});
+    };
     try {
-      check_graph_params(job.graph);
-      check_process_params(job.process);
-      if (!job.faults.empty()) (void)parse_fault_options(job.faults);
+      if (first_use(1)) check_graph_params(job.graph);
+      if (first_use(2)) check_process_params(job.process);
+      if (faults != nullptr && first_use(3)) {
+        (void)parse_fault_options(job.faults);
+      }
     } catch (const std::exception& e) {
       throw SpecError(spec.source() + ": job " + std::to_string(index) +
                       ": " + e.what());
