@@ -481,7 +481,10 @@ CampaignPlan plan_campaign(const ScenarioSpec& spec) {
     };
     try {
       if (first_use(1)) check_graph_params(job.graph);
-      if (first_use(2)) check_process_params(job.process);
+      // A bare process name has no value to vet (the name is known).
+      if (job.process.size() > 1 && first_use(2)) {
+        check_process_params(job.process);
+      }
       if (faults != nullptr && first_use(3)) {
         (void)parse_fault_options(job.faults);
       }
