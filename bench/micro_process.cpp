@@ -7,9 +7,9 @@
 // operator new/delete are overridden with counting shims, so the bench
 // proves the workspace-reuse contract end to end: after the first
 // (warm-up) trial, a reset+step trial loop performs ZERO allocations for
-// every registered process. Fault legs time cobra, push-pull and flood
-// with no fault model, an inert one, drop 0.25 and duty 3/4, in ns per
-// message (min of 5 reps). Emits machine-readable BENCH_process.json,
+// every registered process. Fault legs time every process with no fault
+// model, an inert one, drop 0.25 and duty 3/4, in ns per message (min of
+// 5 reps). Emits machine-readable BENCH_process.json,
 // opening with a host block.
 //
 //   ./micro_process [--scale small|medium|large] [--trials N] [--seed S]
@@ -278,8 +278,9 @@ struct FaultRow {
 /// drop, duty, off, ...), so a load change on the host hits every leg
 /// alike and the ratios to "off" stay meaningful.
 std::vector<FaultRow> bench_fault_legs(const Graph& g, const std::string& name,
-                                       std::uint64_t seed, std::size_t trials,
-                                       std::size_t reps) {
+                                       ProcessParams params, std::uint64_t seed,
+                                       std::size_t trials, std::size_t reps) {
+  params.emplace_back("record_curve", "0");
   const std::vector<FaultLeg> legs = fault_legs();
   std::vector<std::unique_ptr<FaultModel>> models;
   std::vector<std::unique_ptr<Process>> processes;
@@ -287,7 +288,7 @@ std::vector<FaultRow> bench_fault_legs(const Graph& g, const std::string& name,
   for (std::size_t l = 0; l < legs.size(); ++l) {
     models.push_back(
         std::make_unique<FaultModel>(g.num_vertices(), legs[l].options));
-    processes.push_back(make_process(g, name, {{"record_curve", "0"}}));
+    processes.push_back(make_process(g, name, params));
     if (legs[l].attached) processes[l]->set_fault_model(models[l].get());
     rows[l].process = name;
     rows[l].leg = legs[l].name;
@@ -440,15 +441,20 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(telemetry.steady_allocations),
       telemetry_ok ? "" : "  [FAIL]");
 
-  std::printf("%-10s %-10s %12s %12s %10s\n", "faults", "leg", "messages",
+  std::printf("%-14s %-10s %12s %12s %10s\n", "faults", "leg", "messages",
               "ns/message", "vs off");
   std::vector<FaultRow> fault_rows;
-  for (const char* name : {"cobra", "push-pull", "flood"}) {
+  for (const std::string& name : process_names()) {
+    ProcessParams params;
+    if (name == "sis") params.emplace_back("max_rounds", "4096");
+    // A walk round sends one message, so under a duty cycle the O(n)
+    // schedule pass dominates it; a short step budget keeps the leg cheap.
+    if (name == "walk") params.emplace_back("max_rounds", "4096");
     const std::vector<FaultRow> legs =
-        bench_fault_legs(g, name, seed, trials, /*reps=*/5);
+        bench_fault_legs(g, name, params, seed, trials, /*reps=*/5);
     const double off_ns = legs.front().ns_per_message();
     for (const FaultRow& row : legs) {
-      std::printf("%-10s %-10s %12llu %12.2f %9.2fx\n", name,
+      std::printf("%-14s %-10s %12llu %12.2f %9.2fx\n", name.c_str(),
                   row.leg.c_str(),
                   static_cast<unsigned long long>(row.messages),
                   row.ns_per_message(),

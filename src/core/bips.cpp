@@ -329,13 +329,14 @@ void BipsProcess::step_faulty(Rng& rng) {
     const unsigned draws =
         fractional ? 1u + (rng.bernoulli(branching.rho) ? 1u : 0u)
                    : branching.k;
+    const FaultSession::Sender sender = fs.sender(u);
     bool any_delivered = false;
     char hit = 0;
     for (unsigned i = 0; i < draws; ++i) {
       const Vertex w = options_.weighted
                            ? alias_->draw(*graph_, u, rng)
                            : graph_->neighbor(u, rng.next_below32(degree));
-      if (fs.transmit(u, i, w)) {
+      if (fs.transmit(sender, i, w)) {
         any_delivered = true;
         if (infected_[w]) hit = 1;
       }

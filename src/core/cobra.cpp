@@ -103,12 +103,21 @@ void CobraProcess::seed_frontier(std::span<const Vertex> starts) {
 
 std::span<const Vertex> CobraProcess::frontier() const {
   if (!frontier_list_valid_) {
-    frontier_.clear();
+    // Branch-free compaction: a dense frontier's membership test is a coin
+    // flip per vertex, so a conditional push_back mispredicts about half
+    // the time. frontier_size_ vertices carry the current stamp, so the
+    // loop writes no index above min(frontier_size_, n - 1).
     const Stamp current = stamp(round_);
     const std::size_t n = graph_->num_vertices();
+    frontier_.resize(std::min(frontier_size_ + 1, n));
+    Vertex* out = frontier_.data();
+    const std::uint64_t* visit = visit_.data();
+    std::size_t count = 0;
     for (Vertex v = 0; v < n; ++v) {
-      if (static_cast<Stamp>(visit_[v]) == current) frontier_.push_back(v);
+      out[count] = v;
+      count += static_cast<Stamp>(visit[v]) == current;
     }
+    frontier_.resize(count);
     frontier_list_valid_ = true;
   }
   return frontier_;
@@ -238,17 +247,19 @@ std::size_t CobraProcess::run_round(Rng& rng) {
       // per-round breakdown is gated (begin_round above).
       accounting_.record_vertex_send(pushes);
       const std::uint64_t delivered = kFaulty ? fs->delivered_total() : 0;
+      const FaultSession::Sender sender =
+          kFaulty ? fs->sender(v) : FaultSession::Sender{};
       if (buffered + pushes > kBufferSize) {
         // Oversized branching factor: draw and apply this vertex inline.
         for (unsigned p = 0; p < pushes; ++p) {
           const Vertex w = nbrs[draw_index(begin, degree)];
-          if (kFaulty && !fs->transmit(v, p, w)) continue;
+          if (kFaulty && !fs->transmit(sender, p, w)) continue;
           apply(w);
         }
       } else {
         for (unsigned p = 0; p < pushes; ++p) {
           const Vertex w = nbrs[draw_index(begin, degree)];
-          if (kFaulty && !fs->transmit(v, p, w)) continue;
+          if (kFaulty && !fs->transmit(sender, p, w)) continue;
           buffer[buffered++] = w;
           __builtin_prefetch(&visit[w], 1);
         }

@@ -2,6 +2,7 @@
 #include "core/faults.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/param_reader.hpp"
@@ -25,6 +26,12 @@ void validate(const FaultOptions& o) {
     throw std::invalid_argument(
         "[faults]: churn_down needs churn_period >= 1");
   }
+  // Schedule slots are 32-bit sums of two values below the period.
+  constexpr std::size_t kMaxPeriod = std::size_t{1} << 31;
+  if (o.churn_period > kMaxPeriod || o.duty_period > kMaxPeriod) {
+    throw std::invalid_argument(
+        "[faults]: churn_period and the duty_cycle period must be <= 2^31");
+  }
   if (o.duty_period > 0 && o.duty_awake > o.duty_period) {
     throw std::invalid_argument(
         "[faults]: duty_cycle awake rounds must be <= the period");
@@ -44,7 +51,8 @@ FaultModel::FaultModel(std::size_t num_vertices, FaultOptions options)
 FaultSession::FaultSession(const FaultModel& model)
     : model_(&model),
       options_(&model.options()),
-      drop_(model.options().drop),
+      drop_threshold_(drop_threshold(model.options().drop)),
+      lossy_(drop_threshold_ != 0),
       state_(model.num_vertices(), kListening),
       tx_(model.num_vertices(), 0),
       rx_(model.num_vertices(), 0),
@@ -82,13 +90,19 @@ void FaultSession::begin_trial(std::uint64_t entropy) {
   // Only schedules that can fire keep phases.
   const auto draw_phases = [this](std::vector<std::uint32_t>& phases,
                                   std::uint64_t stream, std::uint64_t period) {
+    const std::uint64_t key = mix64(phase_key_, stream);
     for (std::size_t v = 0; v < phases.size(); ++v) {
-      phases[v] = static_cast<std::uint32_t>(mix3(phase_key_, stream, v) %
-                                             period);
+      phases[v] = static_cast<std::uint32_t>(mix64(key, v) % period);
     }
   };
   draw_phases(phase_churn_, 1, options_->churn_period);
   draw_phases(phase_duty_, 2, options_->duty_period);
+}
+
+std::uint64_t FaultSession::drop_threshold(double drop) noexcept {
+  // drop * 2^53 is exact (a power-of-two scaling of a value in [0, 1]),
+  // and for an integer x, x < D iff x < ceil(D).
+  return static_cast<std::uint64_t>(std::ceil(drop * 0x1.0p53));
 }
 
 template <unsigned kSchedules>
@@ -97,14 +111,26 @@ void FaultSession::schedule_pass(std::size_t round) {
   constexpr bool kPeriodic = (kSchedules & kPeriodicChurn) != 0;
   constexpr bool kDutyCycle = (kSchedules & kDuty) != 0;
   // Options and array pointers live in locals: the byte stores to the
-  // mask may alias anything, which would otherwise force reloads.
-  const FaultOptions o = *options_;
+  // mask may alias anything, which would otherwise force reloads. The
+  // periodic fields are 32-bit (validate() caps the periods at 2^31) and
+  // the loop body is branch-free, so the compiler vectorises the periodic
+  // passes.
+  const FaultOptions& o = *options_;
   const std::uint64_t churn_key = kRandom ? mix64(churn_base_, round) : 0;
+  // Down iff the churn hash drops at probability `churn`: the same
+  // integer test as a channel drop.
+  const std::uint64_t churn_threshold = kRandom ? drop_threshold(o.churn) : 0;
+  const auto churn_period = static_cast<std::uint32_t>(o.churn_period);
+  const auto churn_down = static_cast<std::uint32_t>(o.churn_down);
+  const auto duty_period = static_cast<std::uint32_t>(o.duty_period);
+  const auto duty_awake = static_cast<std::uint32_t>(o.duty_awake);
   // A vertex's slot in a periodic schedule is (round + phase) mod period.
   // Both terms are below the period, so one conditional subtract of the
   // per-round offset replaces the per-vertex modulo.
-  const std::uint64_t churn_offset = kPeriodic ? round % o.churn_period : 0;
-  const std::uint64_t duty_offset = kDutyCycle ? round % o.duty_period : 0;
+  const auto churn_offset =
+      static_cast<std::uint32_t>(kPeriodic ? round % churn_period : 0);
+  const auto duty_offset =
+      static_cast<std::uint32_t>(kDutyCycle ? round % duty_period : 0);
   const std::uint32_t* phase_churn = phase_churn_.data();
   const std::uint32_t* phase_duty = phase_duty_.data();
   std::uint8_t* state = state_.data();
@@ -112,22 +138,21 @@ void FaultSession::schedule_pass(std::size_t round) {
   const std::size_t n = state_.size();
   std::uint64_t missed_round = 0;
   for (std::size_t v = 0; v < n; ++v) {
-    bool is_up = true;
-    if constexpr (kRandom) is_up = to_unit(mix64(churn_key, v)) >= o.churn;
+    std::uint32_t up = 1;
+    if constexpr (kRandom) up = !drops(mix64(churn_key, v), churn_threshold);
     if constexpr (kPeriodic) {
-      std::uint64_t slot = churn_offset + phase_churn[v];
-      slot -= slot >= o.churn_period ? o.churn_period : 0;
-      is_up = is_up && slot >= o.churn_down;
+      std::uint32_t slot = churn_offset + phase_churn[v];
+      slot -= slot >= churn_period ? churn_period : 0;
+      up &= slot >= churn_down;
     }
-    bool is_awake = true;
+    std::uint32_t awake = 1;
     if constexpr (kDutyCycle) {
-      std::uint64_t slot = duty_offset + phase_duty[v];
-      slot -= slot >= o.duty_period ? o.duty_period : 0;
-      is_awake = slot < o.duty_awake;
+      std::uint32_t slot = duty_offset + phase_duty[v];
+      slot -= slot >= duty_period ? duty_period : 0;
+      awake = slot < duty_awake;
     }
-    state[v] = static_cast<std::uint8_t>((is_up ? kUp : 0) |
-                                         (is_awake ? kAwake : 0));
-    const std::uint64_t deaf = is_up && is_awake ? 0 : 1;
+    state[v] = static_cast<std::uint8_t>(up * kUp | awake * kAwake);
+    const std::uint32_t deaf = 1 - (up & awake);
     missed[v] += deaf;
     missed_round += deaf;
   }
@@ -154,12 +179,12 @@ const std::vector<FaultParamSpec>& fault_param_specs() {
                "probability"},
       {"churn", "float in [0,1] (default 0) — per-(vertex, round) "
                 "probability of being down (seeded-random churn)"},
-      {"churn_period", "int (default 0 = off) — periodic churn: period "
-                       "length in rounds (per-vertex phase)"},
+      {"churn_period", "int (default 0 = off, at most 2^31) — periodic "
+                       "churn: period length in rounds (per-vertex phase)"},
       {"churn_down", "int (default 0) — down rounds per churn_period"},
       {"duty_cycle", "A/P (default off) — each vertex receives only while "
-                     "awake: A awake rounds per period of P (per-vertex "
-                     "phase); A=0 means never awake"},
+                     "awake: A awake rounds per period of P <= 2^31 "
+                     "(per-vertex phase); A=0 means never awake"},
       {"energy_tx", "float >= 0 (default 1) — energy units per "
                     "transmitted message"},
       {"energy_rx", "float >= 0 (default 0.5) — energy units per "

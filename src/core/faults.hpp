@@ -25,6 +25,18 @@
 // schedules differ per trial but are bitwise reproducible from
 // (base_seed, job index, trial index) like everything else.
 //
+// Cost: a drop decision is one keyed hash per sender (sender(): the
+// round key mixed with the vertex, taken once before its message loop)
+// plus one per message (its index), and an integer compare of the hash's
+// top 53 bits against ceil(drop * 2^53) — no float conversion (random
+// churn uses the same test). With drop = 0 neither hash is computed. begin_round is O(1) unless a
+// per-vertex schedule can fire. COBRA, push, pull, push-pull, flood and
+// walk run their faulty round as the kFaulty instantiation of the same
+// run_round loop as their plain round; BIPS, SIS and the branching walk
+// keep a separate step_faulty (BIPS's forces scan mode, the branching
+// walk keeps a bulk even-share split). ns/message per process and fault
+// leg: BENCH_process.json (bench/micro_process).
+//
 // With no fault model attached, processes never touch this layer: their
 // hot loops and RNG streams are byte-identical to a build without it
 // (CI-enforced on the scenario outputs).
@@ -116,13 +128,26 @@ class FaultSession {
     return state_[v] == kListening;
   }
 
+  /// A sender's handle for one round: its vertex and its drop-stream key,
+  /// mix64(round key, vertex), hashed once before its message loop so
+  /// each message costs one keyed hash of its index.
+  struct Sender {
+    std::uint32_t vertex;
+    std::uint64_t key;
+  };
+  Sender sender(std::uint32_t v) const noexcept {
+    return {v, lossy_ ? mix64(drop_key_, v) : 0};
+  }
+
   /// Records one message from `from` (its `index`-th transmission this
-  /// round) to `to` and returns whether it was delivered. Precondition:
-  /// can_send(from) — callers skip down senders entirely.
-  bool transmit(std::uint32_t from, std::uint32_t index, std::uint32_t to) {
-    ++tx_[from];
+  /// round) to `to` and returns whether it was delivered. The channel
+  /// drops it iff drops(mix64(from.key, index), drop_threshold(drop)).
+  /// Precondition: can_send(from.vertex) — callers skip down senders
+  /// entirely.
+  bool transmit(Sender from, std::uint32_t index, std::uint32_t to) {
+    ++tx_[from.vertex];
     ++tx_total_;
-    if (drop_ > 0.0 && to_unit(mix3(drop_key_, from, index)) < drop_) {
+    if (lossy_ && drops(mix64(from.key, index), drop_threshold_)) {
       ++dropped_;
       return false;
     }
@@ -133,6 +158,15 @@ class FaultSession {
     ++rx_[to];
     ++delivered_;
     return true;
+  }
+
+  /// ceil(drop * 2^53), the integer form of a drop probability in [0, 1]:
+  /// 0 drops nothing, 2^53 drops every message.
+  static std::uint64_t drop_threshold(double drop) noexcept;
+  /// Whether a message with drop hash `h` is lost: its top 53 bits, read
+  /// as an integer x, satisfy x < threshold — exactly x * 2^-53 < drop.
+  static bool drops(std::uint64_t h, std::uint64_t threshold) noexcept {
+    return (h >> 11) < threshold;
   }
 
   /// Bulk accounting for aggregated send paths (e.g. the branching walk's
@@ -181,13 +215,6 @@ class FaultSession {
     SplitMix64 sm(a ^ (0x632be59bd9b4e019ULL * (b + 1)));
     return sm.next();
   }
-  static std::uint64_t mix3(std::uint64_t key, std::uint64_t a,
-                            std::uint64_t b) noexcept {
-    return mix64(mix64(key, a), b);
-  }
-  static double to_unit(std::uint64_t h) noexcept {
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
-  }
 
   /// Schedules that can fire, as template bits of schedule_pass.
   static constexpr unsigned kRandomChurn = 1, kPeriodicChurn = 2, kDuty = 4;
@@ -201,7 +228,11 @@ class FaultSession {
 
   const FaultModel* model_;
   const FaultOptions* options_;
-  double drop_;
+  std::uint64_t drop_threshold_;  ///< drop_threshold(options.drop)
+  /// drop_threshold_ != 0, kept apart so that the compiler cannot fold
+  /// the skip into the (then always false) compare and hash every
+  /// message of a lossless channel.
+  bool lossy_;
   Pass pass_ = nullptr;
   std::vector<std::uint8_t> state_;  ///< kUp | kAwake bits this round
   std::vector<std::uint32_t> phase_churn_;

@@ -110,13 +110,14 @@ void SisProcess::step_faulty(Rng& rng) {
     const unsigned draws = branching.is_fractional()
                                ? 1u + (rng.bernoulli(branching.rho) ? 1u : 0u)
                                : branching.k;
+    const FaultSession::Sender sender = fs.sender(u);
     bool any_delivered = false;
     char hit = 0;
     for (unsigned i = 0; i < draws; ++i) {
       const Vertex w = alias_ != nullptr
                            ? alias_->draw(g, u, rng)
                            : g.neighbor(u, rng.next_below32(degree));
-      if (fs.transmit(u, i, w)) {
+      if (fs.transmit(sender, i, w)) {
         any_delivered = true;
         if (infected_[w]) hit = 1;
       }

@@ -133,6 +133,7 @@ void BranchingWalkProcess::step_faulty(Rng& rng) {
     if (particles < static_cast<std::uint64_t>(degree) * 64) {
       // Per-particle path: each spawn is one message; a particle whose
       // every spawn was lost survives in place.
+      const FaultSession::Sender sender = fs.sender(v);
       std::uint32_t index = 0;
       for (std::uint64_t p = 0; p < particles; ++p) {
         bool any_delivered = false;
@@ -143,7 +144,7 @@ void BranchingWalkProcess::step_faulty(Rng& rng) {
                   : g.neighbor(v, rng.next_below32(
                                       static_cast<std::uint32_t>(degree)));
           ++moves;
-          if (fs.transmit(v, index++, w)) {
+          if (fs.transmit(sender, index++, w)) {
             next_[w] = std::min(options_.vertex_cap, next_[w] + 1);
             any_delivered = true;
           }

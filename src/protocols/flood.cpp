@@ -44,54 +44,41 @@ void FloodProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void FloodProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
-  }
+  faults() != nullptr ? run_round<true>(rng) : run_round<false>(rng);
+}
+
+template <bool kFaulty>
+void FloodProcess::run_round(Rng&) {
+  FaultSession* const fs = faults();  // read only when kFaulty
   const Graph& g = *graph_;
-  // Every informed vertex sends to all neighbours; only frontier sends
-  // can inform anyone new, but the message count charges everyone.
-  transmissions_ += informed_degree_sum_;
-  next_frontier_.clear();
-  for (const Vertex v : frontier_) {
-    peak_ = std::max(peak_, static_cast<std::uint64_t>(g.degree(v)));
+  // Plain: every informed vertex sends to all neighbours; only frontier
+  // sends can inform anyone new, but the message count charges everyone.
+  // Faulty: the senders are every informed vertex at the start of the
+  // round, and new informees join the same list.
+  if constexpr (!kFaulty) transmissions_ += informed_degree_sum_;
+  std::vector<Vertex>& informees = kFaulty ? frontier_ : next_frontier_;
+  if constexpr (!kFaulty) next_frontier_.clear();
+  const std::size_t senders = frontier_.size();
+  for (std::size_t i = 0; i < senders; ++i) {
+    const Vertex v = frontier_[i];
+    if (kFaulty && !fs->can_send(v)) continue;  // down: silent this round
+    const auto degree = static_cast<std::uint64_t>(g.degree(v));
+    peak_ = std::max(peak_, degree);
+    if constexpr (kFaulty) transmissions_ += degree;
+    const FaultSession::Sender sender =
+        kFaulty ? fs->sender(v) : FaultSession::Sender{};
+    std::uint32_t index = 0;
     for (const Vertex w : g.neighbors(v)) {
+      if (kFaulty && !fs->transmit(sender, index++, w)) continue;
       if (!informed_[w]) {
         informed_[w] = 1;
-        next_frontier_.push_back(w);
+        informees.push_back(w);
         informed_degree_sum_ += g.degree(w);
         ++count_;
       }
     }
   }
-  frontier_.swap(next_frontier_);
-  ++round_;
-}
-
-void FloodProcess::step_faulty(Rng&) {
-  FaultSession& fs = *faults();
-  const Graph& g = *graph_;
-  // frontier_ is the full informed list in fault mode (do_reset seeds it
-  // with the start; every newly informed vertex is appended below). Only
-  // the vertices informed at the start of the round send.
-  const std::size_t senders = frontier_.size();
-  std::uint64_t sends = 0;
-  for (std::size_t i = 0; i < senders; ++i) {
-    const Vertex v = frontier_[i];
-    if (!fs.can_send(v)) continue;  // down: silent this round
-    const auto degree = static_cast<std::uint64_t>(g.degree(v));
-    peak_ = std::max(peak_, degree);
-    sends += degree;
-    std::uint32_t index = 0;
-    for (const Vertex w : g.neighbors(v)) {
-      if (fs.transmit(v, index++, w) && !informed_[w]) {
-        informed_[w] = 1;
-        frontier_.push_back(w);
-        ++count_;
-      }
-    }
-  }
-  transmissions_ += sends;
+  if constexpr (!kFaulty) frontier_.swap(next_frontier_);
   ++round_;
 }
 

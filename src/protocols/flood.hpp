@@ -50,15 +50,18 @@ class FloodProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp). Under faults the BFS shortcut
-  /// (only frontier sends matter) is wrong — a lost edge message must be
-  /// retried — so frontier_ is repurposed as the full informed list and
-  /// EVERY up informed vertex re-sends to all neighbours each round
+  /// One round. Plain: only frontier sends can inform anyone new, so the
+  /// frontier sends and every informed vertex's messages are charged in
+  /// bulk. In the kFaulty instantiation (an attached fault model,
+  /// core/faults.hpp) that BFS shortcut is wrong — a lost edge message
+  /// must be retried — so frontier_ is the full informed list and EVERY
+  /// up informed vertex re-sends to all neighbours each round
   /// (Theta(informed-degree) messages per round, the honest flooding
   /// cost). The list never empties, so done() reduces to full cover or
   /// the round budget; transmissions and the per-vertex peak count actual
   /// sends.
-  void step_faulty(Rng& rng);
+  template <bool kFaulty>
+  void run_round(Rng& rng);
 
   const Graph* graph_;
   FloodOptions options_;

@@ -44,10 +44,12 @@ void PullProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void PullProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
-  }
+  faults() != nullptr ? run_round<true>(rng) : run_round<false>(rng);
+}
+
+template <bool kFaulty>
+void PullProcess::run_round(Rng& rng) {
+  FaultSession* const fs = faults();  // read only when kFaulty
   const Graph& g = *graph_;
   const std::size_t n = g.num_vertices();
   std::size_t contacts = 0;
@@ -58,10 +60,15 @@ void PullProcess::do_step(Rng& rng) {
     if (informed_[v]) continue;
     const auto degree = static_cast<std::uint32_t>(g.degree(v));
     if (degree == 0) continue;  // isolated: nothing to pull from
+    // Under faults v must be up and awake to hear the response, and the
+    // one transmit models the round trip (the contacted neighbour must be
+    // up and awake to answer, and the channel must not drop it).
+    if (kFaulty && !fs->can_receive(v)) continue;
     ++contacts;
     const Vertex w = alias_ != nullptr
                          ? alias_->draw(g, v, rng)
                          : g.neighbor(v, rng.next_below32(degree));
+    if (kFaulty && !fs->transmit(fs->sender(v), 0, w)) continue;
     if (informed_[w] == 1) {  // == 1: only start-of-round informed count
       informed_[v] = 2;       // mark for activation after the sweep
       ++new_informed;
@@ -72,40 +79,7 @@ void PullProcess::do_step(Rng& rng) {
   }
   count_ += new_informed;
   transmissions_ += contacts;
-  peak_ = 1;
-  ++round_;
-}
-
-void PullProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  const Graph& g = *graph_;
-  const std::size_t n = g.num_vertices();
-  std::size_t contacts = 0;
-  std::size_t new_informed = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    if (informed_[v]) continue;
-    const auto degree = static_cast<std::uint32_t>(g.degree(v));
-    if (degree == 0) continue;
-    // A pull is a request/response pair: v must be up and awake to hear
-    // the response, and the one transmit models the round trip (the
-    // contacted neighbour must be up and awake to answer, and the channel
-    // must not drop it).
-    if (!fs.can_receive(v)) continue;
-    ++contacts;
-    const Vertex w = alias_ != nullptr
-                         ? alias_->draw(g, v, rng)
-                         : g.neighbor(v, rng.next_below32(degree));
-    if (fs.transmit(v, 0, w) && informed_[w] == 1) {
-      informed_[v] = 2;  // mark for activation after the sweep
-      ++new_informed;
-    }
-  }
-  for (Vertex v = 0; v < n; ++v) {
-    if (informed_[v] == 2) informed_[v] = 1;
-  }
-  count_ += new_informed;
-  transmissions_ += contacts;
-  if (contacts > 0) peak_ = 1;
+  if (!kFaulty || contacts > 0) peak_ = 1;
   ++round_;
 }
 

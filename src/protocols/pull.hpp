@@ -56,11 +56,13 @@ class PullProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp): a pull is a request/response
-  /// pair, so a down or asleep vertex cannot contact anyone (it would not
-  /// hear the response); one fault draw per contact decides the round
-  /// trip. Informed membership stays monotone.
-  void step_faulty(Rng& rng);
+  /// One round. The kFaulty instantiation runs under an attached fault
+  /// model (core/faults.hpp): a pull is a request/response pair, so a
+  /// down or asleep vertex cannot contact anyone (it would not hear the
+  /// response); one fault draw per contact decides the round trip.
+  /// Informed membership stays monotone.
+  template <bool kFaulty>
+  void run_round(Rng& rng);
 
   const Graph* graph_;
   PullOptions options_;

@@ -50,28 +50,36 @@ void PushProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void PushProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
-  }
+  faults() != nullptr ? run_round<true>(rng) : run_round<false>(rng);
+}
+
+template <bool kFaulty>
+void PushProcess::run_round(Rng& rng) {
+  FaultSession* const fs = faults();  // read only when kFaulty
   const Graph& g = *graph_;
   const std::size_t senders = informed_list_.size();
+  std::size_t sends = senders;
   new_informed_.clear();
   for (std::size_t i = 0; i < senders; ++i) {
     const Vertex v = informed_list_[i];
+    if (kFaulty && !fs->can_send(v)) {  // down: no push this round
+      --sends;
+      continue;
+    }
     const Vertex w =
         alias_ != nullptr
             ? alias_->draw(g, v, rng)
             : g.neighbor(
                   v, rng.next_below32(static_cast<std::uint32_t>(g.degree(v))));
+    if (kFaulty && !fs->transmit(fs->sender(v), 0, w)) continue;
     if (!informed_[w]) {
       informed_[w] = 1;
       new_informed_.push_back(w);
     }
   }
   merge_new_informed();
-  transmissions_ += senders;
-  peak_ = 1;
+  transmissions_ += sends;
+  if (!kFaulty || sends > 0) peak_ = 1;
   ++round_;
 }
 
@@ -93,32 +101,6 @@ void PushProcess::merge_new_informed() {
       informed_list_[--oi] = new_informed_[--bi];
     }
   }
-}
-
-void PushProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  const Graph& g = *graph_;
-  const std::size_t senders = informed_list_.size();
-  std::uint64_t sends = 0;
-  new_informed_.clear();
-  for (std::size_t i = 0; i < senders; ++i) {
-    const Vertex v = informed_list_[i];
-    if (!fs.can_send(v)) continue;  // down: no push this round
-    const Vertex w =
-        alias_ != nullptr
-            ? alias_->draw(g, v, rng)
-            : g.neighbor(
-                  v, rng.next_below32(static_cast<std::uint32_t>(g.degree(v))));
-    ++sends;
-    if (fs.transmit(v, 0, w) && !informed_[w]) {
-      informed_[w] = 1;
-      new_informed_.push_back(w);
-    }
-  }
-  merge_new_informed();
-  transmissions_ += sends;
-  if (sends > 0) peak_ = 1;
-  ++round_;
 }
 
 }  // namespace cobra

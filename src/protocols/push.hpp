@@ -61,11 +61,13 @@ class PushProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp): down senders skip the round
-  /// (informed membership is monotone, so nothing needs freezing), lost
-  /// or receiver-blocked pushes inform no one, and transmissions count
-  /// the sends actually made.
-  void step_faulty(Rng& rng);
+  /// One round. The kFaulty instantiation runs under an attached fault
+  /// model (core/faults.hpp): down senders skip the round (informed
+  /// membership is monotone, so nothing needs freezing), lost or
+  /// receiver-blocked pushes inform no one, and transmissions count the
+  /// sends actually made.
+  template <bool kFaulty>
+  void run_round(Rng& rng);
 
   /// Sorts the round's new informees and merges them into the (sorted)
   /// informed list in place. Allocation-free: both vectors are reserved

@@ -51,10 +51,12 @@ void PushPullProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void PushPullProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
-  }
+  faults() != nullptr ? run_round<true>(rng) : run_round<false>(rng);
+}
+
+template <bool kFaulty>
+void PushPullProcess::run_round(Rng& rng) {
+  FaultSession* const fs = faults();  // read only when kFaulty
   const Graph& g = *graph_;
   const std::size_t n = g.num_vertices();
   // Synchronous semantics: all contacts are evaluated against the state
@@ -63,10 +65,16 @@ void PushPullProcess::do_step(Rng& rng) {
   for (Vertex v = 0; v < n; ++v) {
     const auto degree = static_cast<std::uint32_t>(g.degree(v));
     if (degree == 0) continue;  // isolated: no one to contact
+    // Under faults a pusher must be up; a puller must also be awake to
+    // hear the response.
+    if (kFaulty && !(informed_[v] ? fs->can_send(v) : fs->can_receive(v))) {
+      continue;
+    }
     ++contacts;
     const Vertex w = alias_ != nullptr
                          ? alias_->draw(g, v, rng)
                          : g.neighbor(v, rng.next_below32(degree));
+    if (kFaulty && !fs->transmit(fs->sender(v), 0, w)) continue;
     if (informed_[v]) {
       next_[w] = 1;  // push
     } else if (informed_[w]) {
@@ -79,42 +87,7 @@ void PushPullProcess::do_step(Rng& rng) {
     count_ += static_cast<std::size_t>(next_[v]);
   }
   transmissions_ += contacts;
-  peak_ = 1;
-  ++round_;
-}
-
-void PushPullProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  const Graph& g = *graph_;
-  const std::size_t n = g.num_vertices();
-  std::size_t contacts = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    const auto degree = static_cast<std::uint32_t>(g.degree(v));
-    if (degree == 0) continue;
-    if (informed_[v]) {
-      if (!fs.can_send(v)) continue;  // down: no push
-      ++contacts;
-      const Vertex w = alias_ != nullptr
-                           ? alias_->draw(g, v, rng)
-                           : g.neighbor(v, rng.next_below32(degree));
-      if (fs.transmit(v, 0, w)) next_[w] = 1;  // push delivered
-    } else {
-      // A pull is a request/response pair: v must be able to receive.
-      if (!fs.can_receive(v)) continue;
-      ++contacts;
-      const Vertex w = alias_ != nullptr
-                           ? alias_->draw(g, v, rng)
-                           : g.neighbor(v, rng.next_below32(degree));
-      if (fs.transmit(v, 0, w) && informed_[w]) next_[v] = 1;  // pull
-    }
-  }
-  count_ = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    informed_[v] = next_[v];
-    count_ += static_cast<std::size_t>(next_[v]);
-  }
-  transmissions_ += contacts;
-  if (contacts > 0) peak_ = 1;
+  if (!kFaulty || contacts > 0) peak_ = 1;
   ++round_;
 }
 

@@ -53,11 +53,13 @@ class PushPullProcess final : public Process {
   bool curve_enabled() const override { return options_.record_curve; }
 
  private:
-  /// Fault-aware round (core/faults.hpp): a down vertex makes no contact;
-  /// pushes inform on delivery, and pulls (request/response pairs) need
-  /// the puller up and awake plus a delivered round trip. Informed
-  /// membership stays monotone.
-  void step_faulty(Rng& rng);
+  /// One round. The kFaulty instantiation runs under an attached fault
+  /// model (core/faults.hpp): a down vertex makes no contact; pushes
+  /// inform on delivery, and pulls (request/response pairs) need the
+  /// puller up and awake plus a delivered round trip. Informed membership
+  /// stays monotone.
+  template <bool kFaulty>
+  void run_round(Rng& rng);
 
   const Graph* graph_;
   PushPullOptions options_;

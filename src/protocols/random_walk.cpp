@@ -80,38 +80,25 @@ void WalkProcess::do_reset(std::span<const Vertex> starts) {
 }
 
 void WalkProcess::do_step(Rng& rng) {
-  if (faults() != nullptr) {
-    step_faulty(rng);
-    return;
-  }
-  if (alias_ != nullptr) {
-    position_ = alias_->draw(*graph_, position_, rng);
-  } else {
-    const auto degree = static_cast<std::uint32_t>(graph_->degree(position_));
-    position_ = graph_->neighbor(position_, rng.next_below32(degree));
-  }
-  ++steps_;
-  if (first_visit_[position_] == kRoundNever) {
-    first_visit_[position_] = static_cast<Round>(steps_);
-    ++visited_count_;
-  }
+  faults() != nullptr ? run_round<true>(rng) : run_round<false>(rng);
 }
 
-void WalkProcess::step_faulty(Rng& rng) {
-  FaultSession& fs = *faults();
-  // The round elapses whether or not the token can move — an always-down
-  // schedule must still exhaust the step budget, never loop forever.
+template <bool kFaulty>
+void WalkProcess::run_round(Rng& rng) {
+  FaultSession* const fs = faults();  // read only when kFaulty
   ++steps_;
-  if (!fs.can_send(position_)) return;  // down: token waits in place
-  const Vertex w =
-      alias_ != nullptr
-          ? alias_->draw(*graph_, position_, rng)
-          : graph_->neighbor(
-                position_,
-                rng.next_below32(
-                    static_cast<std::uint32_t>(graph_->degree(position_))));
-  ++fault_tx_;
-  if (!fs.transmit(position_, 0, w)) return;  // hop lost/blocked: stay put
+  if (kFaulty && !fs->can_send(position_)) return;  // down: token waits
+  Vertex w;
+  if (alias_ != nullptr) {
+    w = alias_->draw(*graph_, position_, rng);
+  } else {
+    const auto degree = static_cast<std::uint32_t>(graph_->degree(position_));
+    w = graph_->neighbor(position_, rng.next_below32(degree));
+  }
+  if constexpr (kFaulty) {
+    ++fault_tx_;
+    if (!fs->transmit(fs->sender(position_), 0, w)) return;  // hop lost
+  }
   position_ = w;
   if (first_visit_[position_] == kRoundNever) {
     first_visit_[position_] = static_cast<Round>(steps_);

@@ -96,13 +96,15 @@ class WalkProcess final : public Process {
   void append_curve_point() override;
 
  private:
-  /// Fault-aware step (core/faults.hpp): the step counter always advances
-  /// (a round passes whether or not the token can move, so an always-down
-  /// graph still exhausts the budget), but the token only attempts a move
-  /// while its vertex is up, and only moves if the hop is delivered. A
-  /// start vertex that is down at round 0 simply waits in place — the
+  /// One step. In the kFaulty instantiation (an attached fault model,
+  /// core/faults.hpp) the step counter still always advances (a round
+  /// passes whether or not the token can move, so an always-down graph
+  /// still exhausts the budget), but the token only attempts a move while
+  /// its vertex is up, and only moves if the hop is delivered. A start
+  /// vertex that is down at round 0 simply waits in place — the
   /// documented tolerate behaviour for walk-style processes.
-  void step_faulty(Rng& rng);
+  template <bool kFaulty>
+  void run_round(Rng& rng);
 
   const Graph* graph_;
   RandomWalkOptions options_;

@@ -12,10 +12,15 @@
 //      identical at 1/2/8 worker threads, and a killed-and-resumed faulty
 //      campaign reproduces the uninterrupted sinks byte-for-byte,
 //  (e) [faults] spec validation (unknown keys, malformed values, swept
-//      process names) and the journal payload round-trip,
+//      process names, schedule periods above 2^31) and the journal
+//      payload round-trip,
 //  (f) COBRA under faults: every frontier representation gives the same
 //      faulty run, schedules that never fire match no schedule, and the
-//      per-vertex listening counts sum to the total.
+//      per-vertex listening counts sum to the total,
+//  (g) drop decisions: the integer threshold test agrees with the
+//      floating-point one at and around the threshold, the per-sender
+//      keyed hash equals the two-step (round key, sender, index) hash, and
+//      a drop probability of 1 loses every message of every process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -339,6 +344,27 @@ TEST(FaultsSpec, RejectsUnknownKeysAndMalformedValues) {
       "process 'flood' has no parameter 'k'");
 }
 
+TEST(FaultsSpec, SchedulePeriodsAreCappedAt2To31) {
+  // Schedule slots are 32-bit sums of two values below the period.
+  FaultOptions options;
+  options.duty_period = std::size_t{1} << 31;
+  options.duty_awake = 1;
+  EXPECT_NO_THROW(FaultModel(8, options));
+  options.duty_period += 1;
+  EXPECT_THROW(FaultModel(8, options), std::invalid_argument);
+  options = FaultOptions{};
+  options.churn_period = (std::size_t{1} << 31) + 1;
+  EXPECT_THROW(FaultModel(8, options), std::invalid_argument);
+  expect_spec_error(
+      [] {
+        scenario::plan_campaign(scenario::ScenarioSpec::parse_string(
+            "[graph]\nfamily = cycle\nn = 32\n[process]\nname = cobra\n"
+            "[faults]\nduty_cycle = 1/4294967296\n",
+            "s.scenario"));
+      },
+      "must be <= 2^31");
+}
+
 TEST(FaultsSpec, EveryFaultKeyIsAccepted) {
   for (const FaultParamSpec& param : fault_param_specs()) {
     EXPECT_TRUE(fault_has_param(param.key)) << param.key;
@@ -559,6 +585,108 @@ TEST(Faults, ListenCountsSumToTotal) {
         }
       }
     }
+  }
+}
+
+// ---- (g) drop decisions ----
+
+/// The fault layer's SplitMix combine, restated so the tests check the
+/// keyed path against an independent copy.
+std::uint64_t reference_mix(std::uint64_t a, std::uint64_t b) {
+  SplitMix64 sm(a ^ (0x632be59bd9b4e019ULL * (b + 1)));
+  return sm.next();
+}
+
+/// The floating-point drop test: h's top 53 bits as a unit double.
+double unit_of(std::uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+TEST(Faults, DropDecisionIsExactAtTheThreshold) {
+  Rng rng(48);
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  for (const double drop : {0x1.0p-53, 1e-300, 0.1, 0.25, 1.0 / 3.0,
+                            1.0 - 0x1.0p-53, 1.0}) {
+    const std::uint64_t threshold = FaultSession::drop_threshold(drop);
+    EXPECT_EQ(threshold,
+              static_cast<std::uint64_t>(std::ceil(drop * 0x1.0p53)))
+        << drop;
+    std::vector<std::uint64_t> hashes;
+    for (const std::uint64_t x : {threshold - 1, threshold, threshold + 1}) {
+      if (x >= kTop) continue;  // no 53-bit value reaches 2^53
+      // The low 11 bits take no part in the decision.
+      hashes.push_back(x << 11);
+      hashes.push_back((x << 11) | 0x7ff);
+    }
+    for (int i = 0; i < 100000; ++i) hashes.push_back(rng());
+    std::size_t mismatches = 0;
+    for (const std::uint64_t h : hashes) {
+      if (FaultSession::drops(h, threshold) != (unit_of(h) < drop)) {
+        ADD_FAILURE() << "drop " << drop << " hash 0x" << std::hex << h;
+        if (++mismatches == 5) break;
+      }
+    }
+  }
+  // The keyed path: a sender's key folds the round key with the vertex,
+  // and each message mixes in only its index, so the decision equals the
+  // two-step hash of (round key, sender, index).
+  FaultOptions options;
+  options.drop = 1.0 / 3.0;
+  options.seed = 77;
+  const FaultModel model(64, options);
+  FaultSession fs(model);
+  const std::uint64_t entropy = 0x243f6a8885a308d3ull;
+  fs.begin_trial(entropy);
+  SplitMix64 streams(reference_mix(entropy, options.seed));
+  (void)streams.next();  // the churn stream's key
+  const std::uint64_t drop_base = streams.next();
+  std::uint64_t decisions = 0;
+  std::uint64_t dropped = 0;
+  for (std::size_t round = 0; round < 4; ++round) {
+    fs.begin_round(round);
+    const std::uint64_t round_key = reference_mix(drop_base, round);
+    for (std::uint32_t from = 0; from < 64; ++from) {
+      const FaultSession::Sender sender = fs.sender(from);
+      ASSERT_EQ(sender.vertex, from);
+      ASSERT_EQ(sender.key, reference_mix(round_key, from));
+      for (std::uint32_t index = 0; index < 8; ++index) {
+        const std::uint64_t before = fs.dropped_total();
+        fs.transmit(sender, index, (from + 1) % 64);
+        const bool expected =
+            unit_of(reference_mix(reference_mix(round_key, from), index)) <
+            options.drop;
+        ASSERT_EQ(fs.dropped_total() != before, expected)
+            << "round " << round << " from " << from << " index " << index;
+        ++decisions;
+        dropped += expected;
+      }
+    }
+  }
+  // The stream is not degenerate: about a third of the messages drop.
+  EXPECT_GT(dropped, decisions / 4);
+  EXPECT_LT(dropped, decisions * 5 / 12);
+}
+
+TEST(Faults, FullDropLosesEveryMessage) {
+  // The drop counterpart of NeverAwakeDutyCycleBlocksEveryMessage: every
+  // sender keeps paying for messages the channel always loses, so no
+  // process ever leaves its start state.
+  const Graph g = gen::cycle(24);
+  FaultOptions options;
+  options.drop = 1.0;
+  const FaultModel model(g.num_vertices(), options);
+  for (const std::string& name : process_names()) {
+    const auto process = make_process(g, name, {{"max_rounds", "64"}});
+    process->set_fault_model(&model);
+    const SpreadResult result = process->run(Rng(9), 0);
+    EXPECT_FALSE(result.completed) << name;
+    EXPECT_EQ(result.rounds, 64u) << name;
+    EXPECT_EQ(process->reached_count(), 1u) << name;
+    const FaultSession* fs = process->fault_session();
+    EXPECT_GT(fs->tx_total(), 0u) << name;
+    EXPECT_EQ(fs->delivered_total(), 0u) << name;
+    EXPECT_EQ(fs->dropped_total(), fs->tx_total()) << name;
+    EXPECT_EQ(fs->blocked_total(), 0u) << name;
   }
 }
 
